@@ -10,14 +10,11 @@ optimum and a uniform-price scheme across channel-quality sweeps.
 __version__ = "0.1.0"
 
 from .baselines import (
-    BracketExpansionError,
     CompleteInfoSolution,
     LinearPricingSolution,
-    LinearSearchConfig,
     complete_info_contract,
     complete_info_lambda,
     expected_complete_info_welfare,
-    golden_section_max,
     linear_dap_utility_derivative,
     linear_expected_dap_utility,
     linear_expected_social_welfare,

@@ -6,36 +6,33 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .compositions import composition_table
 from .market import LN2, TypeProfile
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_NEWTON_MAX_ITERS = 100
 
 
-def golden_section_max(f: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
-    """Golden-section search for the maximizer of a unimodal f on [lo, hi].
+def _t_distribution(profile: TypeProfile, n_total: int) -> tuple[np.ndarray, np.ndarray]:
+    """Atoms and probabilities of T = sum_k n_k theta_k over the count vectors.
 
-    Shrinks the bracket to width <= tol and returns its midpoint. Fully
-    deterministic for fixed inputs.
+    On an evenly spaced ladder T = N theta_1 + s delta, and s is the sum of N
+    independent uniform draws from {0..K-1}: N(K-1)+1 atoms whose pmf is the
+    N-fold convolution of the uniform pmf. Any other ladder falls back to one
+    atom per row of the composition table.
     """
-    a, b = (lo, hi) if lo <= hi else (hi, lo)
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+    thetas = profile.as_array()
+    k = thetas.size
+    delta = (thetas[-1] - thetas[0]) / (k - 1) if k > 1 else 0.0
+    if np.all(np.abs(np.diff(thetas) - delta) <= 1e-12 * delta):
+        pmf = np.ones(1)
+        for _ in range(n_total):
+            pmf = np.convolve(pmf, np.full(k, 1.0 / k))
+        return n_total * thetas[0] + delta * np.arange(pmf.size), pmf
+    counts, probs = composition_table(n_total, k)
+    return counts @ thetas, probs
 
 
 @dataclass(frozen=True)
@@ -91,10 +88,9 @@ def expected_complete_info_welfare(
 ) -> float:
     """Expectation of the per-realization optima: the collector re-optimizes
     for every realized count vector it would observe."""
-    counts, probs = composition_table(n_total, profile.k)
-    t_total = counts @ profile.as_array()
     if gamma <= 0.0:
         return 0.0
+    t_total, probs = _t_distribution(profile, n_total)
     # same rationalized root as complete_info_lambda; an empty market (T = 0)
     # gets lam = c/2 here but contributes zero welfare either way
     c = bandwidth_w * gamma / LN2
@@ -116,15 +112,9 @@ class LinearPricingSolution:
     q_response: np.ndarray
 
 
-@dataclass(frozen=True)
-class LinearSearchConfig:
-    bracket_tol: float = 1e-10
-    initial_p_max: float = 1.0
-    max_expansions: int = 80
-
-
-class BracketExpansionError(RuntimeError):
-    """Raised when no finite price bracket contains the optimum."""
+def _mean_t(profile: TypeProfile, n_total: int) -> float:
+    """E[T] = (N/K) sum_k theta_k: each expected count is N/K."""
+    return n_total / profile.k * float(profile.as_array().sum())
 
 
 def linear_expected_dap_utility(
@@ -134,23 +124,18 @@ def linear_expected_dap_utility(
 
         E[ W log2(1 + gamma (P/2) sum_k n_k theta_k) ] - (P^2/2) (N/K) sum_k theta_k
     """
-    counts, probs = composition_table(n_total, profile.k)
-    thetas = profile.as_array()
-    t_total = counts @ thetas
+    t_total, probs = _t_distribution(profile, n_total)
     rate = bandwidth_w * np.log1p(gamma * (price / 2.0) * t_total) / LN2
-    payment = price * price / 2.0 * (n_total / profile.k) * thetas.sum()
-    return float(probs @ rate) - payment
+    return float(probs @ rate) - price * price / 2.0 * _mean_t(profile, n_total)
 
 
 def linear_dap_utility_derivative(
     price: float, profile: TypeProfile, gamma: float, bandwidth_w: float, n_total: int
 ) -> float:
-    """d/dP of linear_expected_dap_utility; used to certify the optimum."""
-    counts, probs = composition_table(n_total, profile.k)
-    thetas = profile.as_array()
-    t_total = counts @ thetas
+    """d/dP of linear_expected_dap_utility; zero at the posted price."""
+    t_total, probs = _t_distribution(profile, n_total)
     rate_part = (bandwidth_w * gamma / (2.0 * LN2)) * (t_total / (1.0 + gamma * (price / 2.0) * t_total))
-    return float(probs @ rate_part) - price * (n_total / profile.k) * thetas.sum()
+    return float(probs @ rate_part) - price * _mean_t(profile, n_total)
 
 
 def linear_expected_social_welfare(
@@ -158,39 +143,38 @@ def linear_expected_social_welfare(
 ) -> float:
     """Expected total surplus at price P: the payment drops out and only half
     of the response cost remains, (P^2/4) (N/K) sum_k theta_k."""
-    counts, probs = composition_table(n_total, profile.k)
-    thetas = profile.as_array()
-    t_total = counts @ thetas
+    t_total, probs = _t_distribution(profile, n_total)
     rate = bandwidth_w * np.log1p(gamma * (price / 2.0) * t_total) / LN2
-    cost = price * price / 4.0 * (n_total / profile.k) * thetas.sum()
-    return float(probs @ rate) - cost
+    return float(probs @ rate) - price * price / 4.0 * _mean_t(profile, n_total)
 
 
 def linear_pricing_optimize(
-    profile: TypeProfile,
-    gamma: float,
-    bandwidth_w: float,
-    n_total: int,
-    search_cfg: LinearSearchConfig | None = None,
+    profile: TypeProfile, gamma: float, bandwidth_w: float, n_total: int
 ) -> LinearPricingSolution:
-    """Price the collector would post: maximizes its expected utility over
-    P >= 0 by golden-section search on an auto-expanded bracket."""
-    cfg = search_cfg or LinearSearchConfig()
+    """Price the collector would post: the root of its first-order condition
+
+        g(P) = (c/2) E[T / (1 + gamma P T / 2)] - P E[T] = 0,   c = W gamma / ln 2.
+
+    g is strictly decreasing and convex with g(0) > 0 > g(c/2), so Newton's
+    method started at P = 0 climbs monotonically to the root. It stops once a
+    step is within a few ulps of the price.
+    """
     thetas = profile.as_array()
     if gamma <= 0.0 or n_total == 0:
         return LinearPricingSolution(0.0, 0.0, np.zeros_like(thetas))
-
-    def utility(p: float) -> float:
-        return linear_expected_dap_utility(p, profile, gamma, bandwidth_w, n_total)
-
-    hi = cfg.initial_p_max
-    expansions = 0
-    while utility(hi) >= utility(hi / 2.0):
-        hi *= 2.0
-        expansions += 1
-        if expansions > cfg.max_expansions:
-            raise BracketExpansionError(
-                f"no price bracket found after {cfg.max_expansions} doublings (hi={hi:g})"
-            )
-    price = golden_section_max(utility, 0.0, hi, cfg.bracket_tol)
-    return LinearPricingSolution(price, utility(price), price * thetas / 2.0)
+    t_total, probs = _t_distribution(profile, n_total)
+    mean_t = _mean_t(profile, n_total)
+    half_c = bandwidth_w * gamma / (2.0 * LN2)
+    price = 0.0
+    for _ in range(_NEWTON_MAX_ITERS):
+        ratio = t_total / (1.0 + gamma * (price / 2.0) * t_total)
+        slope = half_c * float(probs @ ratio) - price * mean_t
+        curvature = -half_c * (gamma / 2.0) * float(probs @ (ratio * ratio)) - mean_t
+        step = -slope / curvature
+        price += step
+        if step <= 8.0 * np.finfo(float).eps * price:
+            break
+    else:
+        raise RuntimeError(f"uniform price did not converge in {_NEWTON_MAX_ITERS} Newton steps")
+    utility = linear_expected_dap_utility(price, profile, gamma, bandwidth_w, n_total)
+    return LinearPricingSolution(price, utility, price * thetas / 2.0)

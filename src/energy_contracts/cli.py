@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -214,17 +215,23 @@ def _contract_rows(profile: TypeProfile, contract: Contract):
         yield idx, theta, item.q, item.pi
 
 
-def _resolve_gamma(cfg_value, scenario: ScenarioConfig) -> float:
-    gamma = reference_gamma(scenario) if cfg_value is None else float(cfg_value)
-    if gamma <= 0.0:
-        raise ConfigError(f"gamma must be positive, got {gamma}")
+def _resolve_gamma(cfg_value, default: float, name: str) -> float:
+    """The one check for every gamma field: null takes the default, else a positive finite number."""
+    if cfg_value is None:
+        return default
+    try:
+        gamma = float(cfg_value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must be a number, got {cfg_value!r}") from exc
+    if not (math.isfinite(gamma) and gamma > 0.0):
+        raise ConfigError(f"{name} must be positive and finite, got {gamma}")
     return gamma
 
 
 def _solve_once(cfg: dict, gamma_key: str):
     scenario = scenario_from_config(cfg)
     profile = build_type_ladder(scenario)
-    gamma = _resolve_gamma(cfg[gamma_key]["gamma"], scenario)
+    gamma = _resolve_gamma(cfg[gamma_key]["gamma"], reference_gamma(scenario), f"{gamma_key}.gamma")
     cfg[gamma_key]["gamma"] = gamma
     result = solve(profile, gamma, bandwidth_mbps(scenario), scenario.n_eaps, solver_from_config(cfg))
     return scenario, profile, gamma, result
@@ -263,12 +270,12 @@ def cmd_sweep(cfg: dict, out_dir: Path) -> int:
     scenario = scenario_from_config(cfg)
     sweep_cfg = cfg["sweep"]
     lo, hi = gamma_range(scenario)
-    gamma_min = lo if sweep_cfg["gamma_min"] is None else float(sweep_cfg["gamma_min"])
-    gamma_max = hi if sweep_cfg["gamma_max"] is None else float(sweep_cfg["gamma_max"])
+    gamma_min = _resolve_gamma(sweep_cfg["gamma_min"], lo, "sweep.gamma_min")
+    gamma_max = _resolve_gamma(sweep_cfg["gamma_max"], hi, "sweep.gamma_max")
     steps = int(sweep_cfg["gamma_steps"])
     if steps < 1:
         raise ConfigError("sweep.gamma_steps must be at least 1")
-    if not 0.0 < gamma_min <= gamma_max:
+    if gamma_min > gamma_max:
         raise ConfigError(f"invalid gamma range [{gamma_min}, {gamma_max}]")
     sweep_cfg.update({"gamma_min": gamma_min, "gamma_max": gamma_max, "gamma_steps": steps})
     grid = np.linspace(gamma_min, gamma_max, steps)
@@ -281,7 +288,13 @@ def cmd_sweep(cfg: dict, out_dir: Path) -> int:
 
     _write_csv(out_dir / "sweep.csv", SWEEP_COLUMNS, sweep.rows())
     _write_json(out_dir / "config_echo.json", cfg)
-    _write_manifest(out_dir, "sweep", cfg, ["sweep.csv", "config_echo.json"])
+    solve_results = [
+        {"gamma": float(g), "iterations": r.iterations, "kkt_residual": r.kkt_residual, "converged": r.converged}
+        for g, r in zip(sweep.gamma_grid, sweep.solve_results)
+    ]
+    _write_manifest(
+        out_dir, "sweep", cfg, ["sweep.csv", "config_echo.json"], {"sweep": {"solve_results": solve_results}}
+    )
     print(f"swept {steps} gamma points over [{gamma_min:g}, {gamma_max:g}]")
     return EXIT_OK
 

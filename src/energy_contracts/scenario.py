@@ -131,7 +131,7 @@ class SweepError(RuntimeError):
     """A sweep point failed to solve; carries the offending SNR slope."""
 
     def __init__(self, gamma: float, reason: str):
-        super().__init__(f"sweep aborted at gamma={gamma!r}: {reason}")
+        super().__init__(f"sweep aborted at gamma={float(gamma)!r}: {reason}")
         self.gamma = gamma
 
 
@@ -169,8 +169,9 @@ def run_sweep(
 ) -> SweepResult:
     """Solve all three mechanisms at every grid point.
 
-    Grid points must be positive. Any non-converged or non-monotone solve
-    aborts the sweep with the failing gamma reported.
+    Grid points must be positive. Any non-converged or non-monotone solve, or
+    a nonempty market whose first-best welfare underflows to zero, aborts the
+    sweep with the failing gamma reported.
     """
     grid = default_gamma_grid(cfg) if gamma_grid is None else np.asarray(gamma_grid, dtype=float)
     if grid.size == 0 or grid.min() <= 0.0:
@@ -192,13 +193,16 @@ def run_sweep(
         results.append(res)
         contract_w[i] = expected_social_welfare(res.contract.qs, profile, gamma, w, n)
         complete_w[i] = baselines.expected_complete_info_welfare(profile, gamma, w, n)
+        if n > 0 and not complete_w[i] > 0.0:
+            raise SweepError(gamma, f"first-best welfare {complete_w[i]:g} is not positive")
         pricing = baselines.linear_pricing_optimize(profile, gamma, w, n)
         linear_w[i] = baselines.linear_expected_social_welfare(pricing.price, profile, gamma, w, n)
 
-    # an empty market has zero welfare under every mechanism; call the ratio 1
-    positive = complete_w > 0.0
-    normalized_contract = np.where(positive, contract_w / np.where(positive, complete_w, 1.0), 1.0)
-    normalized_linear = np.where(positive, linear_w / np.where(positive, complete_w, 1.0), 1.0)
+    if n == 0:
+        # an empty market has zero welfare under every mechanism; call the ratio 1
+        normalized_contract, normalized_linear = np.ones(grid.size), np.ones(grid.size)
+    else:
+        normalized_contract, normalized_linear = contract_w / complete_w, linear_w / complete_w
     return SweepResult(
         gamma_grid=grid,
         welfare_contract=contract_w,

@@ -140,11 +140,12 @@ class TestCriterion04NormalizedWelfare:
         #
         # The oracle below is independent of the baselines module: a
         # closed-form multiplier per realization and a brentq root of the
-        # collector's first-order condition for the price. The program finds
-        # its price by comparing utility values, which resolves the maximizer
-        # only to about sqrt(eps) relative; with log1p rate terms that is
-        # ~1e-8, so 1e-7 leaves a tenfold margin while staying under 1% of
-        # the smallest departure from 3/4 on the default grid (~2.3e-5).
+        # collector's first-order condition for the price. The program solves
+        # the same condition by Newton's method on the distribution of T and
+        # agrees to ~1e-15; 1e-7 also admits a price found by comparing
+        # utility values (resolved to ~sqrt(eps) relative, ~1e-8 here) while
+        # staying under 1% of the smallest departure from 3/4 on the default
+        # grid (~2.3e-5).
         cfg = ScenarioConfig()
         profile = build_type_ladder(cfg)
         w = bandwidth_mbps(cfg)

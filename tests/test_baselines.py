@@ -4,19 +4,18 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from energy_contracts import baselines
 from energy_contracts import (
-    BracketExpansionError,
     Contract,
-    LinearSearchConfig,
     ScenarioConfig,
     TypeProfile,
     bandwidth_mbps,
     build_type_ladder,
     complete_info_contract,
     complete_info_lambda,
+    composition_table,
     expected_complete_info_welfare,
     expected_social_welfare,
-    golden_section_max,
     linear_dap_utility_derivative,
     linear_expected_dap_utility,
     linear_expected_social_welfare,
@@ -30,14 +29,23 @@ from energy_contracts import (
 LN2 = math.log(2.0)
 
 
-class TestGoldenSection:
-    def test_quadratic_peak(self):
-        x = golden_section_max(lambda v: -((v - 1.7) ** 2), 0.0, 5.0, 1e-12)
-        assert x == pytest.approx(1.7, abs=1e-10)
+class TestTDistribution:
+    @pytest.mark.parametrize("n,k", [(0, 3), (1, 1), (2, 5), (10, 10)])
+    def test_lattice_matches_table(self, n, k):
+        profile = build_type_ladder(ScenarioConfig(n_eaps=n, k_types=k))
+        t_atoms, p_atoms = baselines._t_distribution(profile, n)
+        assert t_atoms.size == n * (k - 1) + 1  # the lattice, not the table
+        counts, probs = composition_table(n, k)
+        t_rows = counts @ profile.as_array()
+        for f in (np.ones_like, lambda t: t, lambda t: t * t, np.log1p, lambda t: 1.0 / (1.0 + t)):
+            assert p_atoms @ f(t_atoms) == pytest.approx(probs @ f(t_rows), rel=1e-12)
 
-    def test_deterministic(self):
-        f = lambda v: math.sin(v)
-        assert golden_section_max(f, 0.0, 3.0, 1e-11) == golden_section_max(f, 0.0, 3.0, 1e-11)
+    def test_uneven_ladder_reads_the_table(self):
+        profile = TypeProfile((0.5, 1.0, 2.0))
+        t_atoms, p_atoms = baselines._t_distribution(profile, 3)
+        counts, probs = composition_table(3, 3)
+        np.testing.assert_array_equal(t_atoms, counts @ profile.as_array())
+        np.testing.assert_array_equal(p_atoms, probs)
 
 
 class TestCompleteInfo:
@@ -171,19 +179,23 @@ class TestLinearPricing:
             sol = linear_pricing_optimize(profile, gamma, 1.0, 2)
             assert abs(linear_dap_utility_derivative(sol.price, profile, gamma, 1.0, 2)) <= 1e-6
 
-    def test_bracket_expansion_reaches_large_prices(self):
-        profile = TypeProfile((1.0, 2.0))
-        cfg = LinearSearchConfig(initial_p_max=0.01)
-        sol = linear_pricing_optimize(profile, 50.0, 1.0, 2, cfg)
-        assert sol.price > cfg.initial_p_max  # expansion had to grow the bracket
-        assert abs(linear_dap_utility_derivative(sol.price, profile, 50.0, 1.0, 2)) <= 1e-6
+    def test_price_zeroes_derivative_across_saturation(self):
+        cfg = ScenarioConfig()
+        profile = build_type_ladder(cfg)
+        w, n = bandwidth_mbps(cfg), cfg.n_eaps
+        mean_t = n / profile.k * profile.as_array().sum()
+        for factor in np.logspace(-10, 9, 20):
+            gamma = factor * reference_gamma(cfg)
+            c = w * gamma / LN2
+            price = linear_pricing_optimize(profile, gamma, w, n).price
+            assert 0.0 < price <= c / 2.0 * (1.0 + 1e-15)  # the root tends to c/2 as gamma -> 0
+            slope = linear_dap_utility_derivative(price, profile, gamma, w, n)
+            assert abs(slope) <= 1e-12 * (c / 2.0) * mean_t
 
-    def test_expansion_cap_raises(self):
-        profile = TypeProfile((1.0, 2.0))
-        with pytest.raises(BracketExpansionError):
-            linear_pricing_optimize(
-                profile, 50.0, 1.0, 2, LinearSearchConfig(initial_p_max=1e-6, max_expansions=1)
-            )
+    def test_newton_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(baselines, "_NEWTON_MAX_ITERS", 2)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            linear_pricing_optimize(TypeProfile((1.0, 2.0)), 50.0, 1.0, 2)
 
     def test_social_welfare_matches_per_composition_oracle(self):
         profile = TypeProfile((0.5, 1.0, 2.0))

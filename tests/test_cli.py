@@ -72,6 +72,22 @@ class TestConfigHandling:
         assert code == 1
         assert "scenario.k_types" in capsys.readouterr().err
 
+    def test_nan_gamma_is_a_config_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"scenario": {"n_eaps": 2, "k_types": 5}, "solve": {"gamma": math.nan}})
+        out = tmp_path / "out"
+        assert main(["solve", "--config", path, "--out", str(out)]) == 1
+        assert "solve.gamma" in capsys.readouterr().err
+        assert not (out / "contract.csv").exists()
+
+    def test_infinite_gamma_max_is_a_config_error(self, tmp_path, capsys):
+        path = write_config(
+            tmp_path, {"scenario": {"n_eaps": 2, "k_types": 5}, "sweep": {"gamma_max": math.inf}}
+        )
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", path, "--out", str(out)]) == 1
+        assert "sweep.gamma_max" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
+
 
 class TestSolveCommand:
     def test_default_run(self, tmp_path, capsys):
@@ -168,6 +184,17 @@ class TestSweepCommand:
         assert main(args + ["--out", str(out_a)]) == 0
         assert main(args + ["--out", str(out_b)]) == 0
         assert (out_a / "sweep.csv").read_bytes() == (out_b / "sweep.csv").read_bytes()
+
+    def test_manifest_records_each_solve(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["sweep", "--out", str(out), "--gamma-steps", "3"]) == 0
+        records = json.loads((out / "manifest.json").read_text())["sweep"]["solve_results"]
+        gammas = [float(row["gamma"]) for row in read_rows(out / "sweep.csv")]
+        assert [r["gamma"] for r in records] == gammas
+        for record in records:
+            assert record["converged"] is True
+            assert record["iterations"] >= 1
+            assert 0.0 <= record["kkt_residual"] <= default_config()["solver"]["grad_tol"]
 
     def test_bad_range_rejected(self, tmp_path, capsys):
         code = main(

@@ -164,12 +164,25 @@ class TestRunSweep:
         # cancelled to 0, leaving first-best welfare at rounding noise below
         # the uniform-price welfare while the empty-market rule wrote 1.0
         # for both ratios.
-        sweep = run_sweep(ScenarioConfig(), [1e-7, 1e-5])
+        # The uniform price must also be resolved relative to its size there:
+        # an absolute price tolerance once left the uniform-price share on
+        # both sides of its 3/4 floor (0.7638 at 1e-9, 0.74993 at 1e-7) and
+        # its welfare negative at 1e-150.
+        sweep = run_sweep(ScenarioConfig(), [1e-9, 1e-7, 1e-5])
         assert np.all(sweep.welfare_complete > 0.0)
         assert np.all(sweep.welfare_complete >= sweep.welfare_contract)
         assert np.all(sweep.welfare_contract >= sweep.welfare_linear)
         for ratios in (sweep.normalized_contract, sweep.normalized_linear):
             assert np.all((ratios > 0.0) & (ratios < 1.0))
+        assert np.all(sweep.normalized_linear >= 0.75)
+        assert run_sweep(ScenarioConfig(), [1e-150]).welfare_linear[0] > 0.0
+
+    def test_underflowing_first_best_aborts_with_gamma(self):
+        # at 1e-170 the first-best welfare underflows to 0 in a nonempty
+        # market; that is no empty market, so no ratio of 1 is reported
+        with pytest.raises(SweepError, match="first-best welfare") as excinfo:
+            run_sweep(ScenarioConfig(), [1e-3, 1e-170])
+        assert excinfo.value.gamma == 1e-170
 
     def test_nonpositive_grid_rejected(self):
         with pytest.raises(ValueError):
