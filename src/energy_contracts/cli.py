@@ -81,14 +81,16 @@ def default_config() -> dict:
         "solver": {
             "grad_tol": 1e-08,
             "max_iters": 10_000,
-            "backtrack_beta": 0.5,
-            "backtrack_c": 1e-4,
             "init_q": None,
         },
         "solve": {"gamma": None, "tol": 1e-09},
         "sweep": {"gamma_min": None, "gamma_max": None, "gamma_steps": 9},
         "curves": {"gamma": None, "probe_types": None},
     }
+
+
+# keys of the retired gradient-ascent line search: still accepted, ignored
+_DEPRECATED_FIELDS = {"solver": ("backtrack_beta", "backtrack_c")}
 
 
 def load_config(path: str | Path) -> dict:
@@ -106,6 +108,11 @@ def load_config(path: str | Path) -> dict:
 
 
 def _merge_section(name: str, user: dict, defaults: dict, required: tuple[str, ...]) -> dict:
+    user = dict(user)
+    for key in _DEPRECATED_FIELDS.get(name, ()):
+        if key in user:
+            del user[key]
+            print(f"config: '{name}.{key}' is deprecated and ignored", file=sys.stderr)
     unknown = sorted(set(user) - set(defaults))
     if unknown:
         raise ConfigError(f"unknown field '{name}.{unknown[0]}'")
@@ -140,12 +147,29 @@ def resolve_config(user: dict | None) -> dict:
     return resolved
 
 
+def _config_int(value, name: str) -> int:
+    """The one check for integer fields: bools, non-integral numbers and strings are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not float(value).is_integer():
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _positive_finite(value, name: str) -> float:
+    try:
+        number = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must be a number, got {value!r}") from exc
+    if not (math.isfinite(number) and number > 0.0):
+        raise ConfigError(f"{name} must be positive and finite, got {number}")
+    return number
+
+
 def scenario_from_config(cfg: dict) -> ScenarioConfig:
     sc = cfg["scenario"]
     try:
         return ScenarioConfig(
-            n_eaps=int(sc["n_eaps"]),
-            k_types=int(sc["k_types"]),
+            n_eaps=_config_int(sc["n_eaps"], "scenario.n_eaps"),
+            k_types=_config_int(sc["k_types"], "scenario.k_types"),
             a_range=tuple(sc["a_range"]),
             d_ms_range=tuple(sc["d_ms_range"]),
             d_as_range=tuple(sc["d_as_range"]),
@@ -154,7 +178,7 @@ def scenario_from_config(cfg: dict) -> ScenarioConfig:
             eta=float(sc["eta"]),
             bandwidth_hz=float(sc["bandwidth_hz"]),
             noise_mw=float(sc["noise_mw"]),
-            rng_seed=int(sc["rng_seed"]),
+            rng_seed=_config_int(sc["rng_seed"], "scenario.rng_seed"),
             power_unit=str(sc["power_unit"]),
         )
     except (TypeError, ValueError) as exc:
@@ -166,9 +190,7 @@ def solver_from_config(cfg: dict) -> SolverConfig:
     try:
         return SolverConfig(
             grad_tol=float(sv["grad_tol"]),
-            max_iters=int(sv["max_iters"]),
-            backtrack_beta=float(sv["backtrack_beta"]),
-            backtrack_c=float(sv["backtrack_c"]),
+            max_iters=_config_int(sv["max_iters"], "solver.max_iters"),
             init_q=None if sv["init_q"] is None else tuple(sv["init_q"]),
         )
     except (TypeError, ValueError) as exc:
@@ -217,15 +239,7 @@ def _contract_rows(profile: TypeProfile, contract: Contract):
 
 def _resolve_gamma(cfg_value, default: float, name: str) -> float:
     """The one check for every gamma field: null takes the default, else a positive finite number."""
-    if cfg_value is None:
-        return default
-    try:
-        gamma = float(cfg_value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name} must be a number, got {cfg_value!r}") from exc
-    if not (math.isfinite(gamma) and gamma > 0.0):
-        raise ConfigError(f"{name} must be positive and finite, got {gamma}")
-    return gamma
+    return default if cfg_value is None else _positive_finite(cfg_value, name)
 
 
 def _solve_once(cfg: dict, gamma_key: str):
@@ -238,8 +252,8 @@ def _solve_once(cfg: dict, gamma_key: str):
 
 
 def cmd_solve(cfg: dict, out_dir: Path) -> int:
+    tol = _positive_finite(cfg["solve"]["tol"], "solve.tol")
     scenario, profile, gamma, result = _solve_once(cfg, "solve")
-    tol = float(cfg["solve"]["tol"])
     report = verify_contract(result.contract, profile, tol)
 
     _write_csv(out_dir / "contract.csv", CONTRACT_COLUMNS, _contract_rows(profile, result.contract))
@@ -272,7 +286,7 @@ def cmd_sweep(cfg: dict, out_dir: Path) -> int:
     lo, hi = gamma_range(scenario)
     gamma_min = _resolve_gamma(sweep_cfg["gamma_min"], lo, "sweep.gamma_min")
     gamma_max = _resolve_gamma(sweep_cfg["gamma_max"], hi, "sweep.gamma_max")
-    steps = int(sweep_cfg["gamma_steps"])
+    steps = _config_int(sweep_cfg["gamma_steps"], "sweep.gamma_steps")
     if steps < 1:
         raise ConfigError("sweep.gamma_steps must be at least 1")
     if gamma_min > gamma_max:
@@ -350,8 +364,9 @@ def read_contract_csv(path: str | Path) -> tuple[TypeProfile, Contract]:
 
 
 def cmd_verify(cfg: dict, out_dir: Path, contract_path: str) -> int:
+    tol = _positive_finite(cfg["solve"]["tol"], "solve.tol")
     profile, contract = read_contract_csv(contract_path)
-    report = verify_contract(contract, profile, float(cfg["solve"]["tol"]))
+    report = verify_contract(contract, profile, tol)
     _write_json(out_dir / "feasibility.json", report.to_dict())
     _write_manifest(out_dir, "verify", cfg, ["feasibility.json"], {"contract_path": str(contract_path)})
     if not report.feasible:

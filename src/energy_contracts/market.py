@@ -93,8 +93,8 @@ class TypeProfile:
         object.__setattr__(self, "thetas", tuple(float(t) for t in self.thetas))
         if len(self.thetas) < 1:
             raise ValueError("at least one type is required")
-        if self.thetas[0] <= 0.0:
-            raise ValueError("type values must be positive")
+        if not all(0.0 < t < math.inf for t in self.thetas):
+            raise ValueError("type values must be positive and finite")
         if any(b <= a for a, b in zip(self.thetas, self.thetas[1:])):
             raise ValueError("type values must be strictly increasing")
 
@@ -121,8 +121,8 @@ class ContractItem:
     pi: float
 
     def __post_init__(self):
-        if self.q < 0.0 or self.pi < 0.0:
-            raise ValueError(f"contract item must be nonnegative, got ({self.q}, {self.pi})")
+        if not (0.0 <= self.q < math.inf and 0.0 <= self.pi < math.inf):
+            raise ValueError(f"contract item must be nonnegative and finite, got ({self.q}, {self.pi})")
 
 
 NULL_ITEM = ContractItem(0.0, 0.0)

@@ -9,7 +9,7 @@ expectation sums with a seeded Monte Carlo estimator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -169,8 +169,9 @@ def run_sweep(
 ) -> SweepResult:
     """Solve all three mechanisms at every grid point.
 
-    Grid points must be positive. Any non-converged or non-monotone solve, or
-    a nonempty market whose first-best welfare underflows to zero, aborts the
+    Grid points must be positive. Each solve after the first starts from the
+    previous point's q. Any non-converged or non-monotone solve, or a
+    nonempty market whose first-best welfare underflows to zero, aborts the
     sweep with the failing gamma reported.
     """
     grid = default_gamma_grid(cfg) if gamma_grid is None else np.asarray(gamma_grid, dtype=float)
@@ -184,6 +185,7 @@ def run_sweep(
     complete_w = np.empty(grid.size)
     linear_w = np.empty(grid.size)
     results: list[SolveResult] = []
+    solver_cfg = solver_cfg or SolverConfig()
     for i, gamma in enumerate(grid):
         res = solve(profile, gamma, w, n, solver_cfg)
         if not res.converged:
@@ -191,6 +193,8 @@ def run_sweep(
         if not res.monotone:
             raise SweepError(gamma, "recovered menu is not monotone")
         results.append(res)
+        if n > 0:
+            solver_cfg = replace(solver_cfg, init_q=tuple(res.contract.qs))
         contract_w[i] = expected_social_welfare(res.contract.qs, profile, gamma, w, n)
         complete_w[i] = baselines.expected_complete_info_welfare(profile, gamma, w, n)
         if n > 0 and not complete_w[i] > 0.0:

@@ -4,10 +4,9 @@ The collector's problem has K participation constraints and K(K-1)
 truth-telling constraints. For an ascending type ladder those reduce to two
 families of equalities: the bottom type's participation constraint binds, and
 each type is exactly indifferent to the item one step below. Substituting the
-resulting rewards into the expected utility leaves a smooth concave program in
-the received-power vector q over the nonnegative orthant, solved here by
-projected gradient ascent with a diagonal preconditioner and Armijo
-backtracking.
+resulting rewards into the expected utility leaves a smooth, strictly concave
+program in the received-power vector q whose maximizer is interior (every
+partial derivative is positive at q_k = 0), solved here by damped Newton.
 """
 
 from __future__ import annotations
@@ -22,38 +21,36 @@ from .compositions import Composition, composition_table
 from .market import LN2, Contract, TypeProfile
 
 _MONO_RTOL = 1e-9
+_BLOCK_ROWS = 4096  # table rows per Hessian block; bounds the temporary to rows x K
+_ARMIJO_C = 1e-4  # sufficient-increase constant of the line search
+_TO_BOUNDARY = 0.995  # a cut step travels this fraction of the way to q_k = 0
+_RESOLUTION = 1e-13  # relative float resolution of the objective's two parts
+_STEP_RTOL = 1e-10  # at convergence the Newton step moves each q_k by less than this fraction
+_MIN_STEP = 1e-20  # the line search accepts whatever step it has reached below this
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iteration controls for the projected gradient ascent.
+    """Iteration controls for the damped Newton ascent.
 
-    grad_tol:       stop when the projected-gradient norm falls below this
-    max_iters:      hard iteration cap
-    backtrack_beta: step shrink factor of the Armijo line search, in (0, 1)
-    backtrack_c:    sufficient-increase constant, in (0, 1)
-    init_q:         optional starting point; defaults to a small positive vector
+    grad_tol:  stop when the gradient norm falls below this (and the Newton step is negligible)
+    max_iters: hard iteration cap
+    init_q:    optional positive starting point; defaults to a small positive vector
     """
 
     grad_tol: float = 1e-8
     max_iters: int = 10_000
-    backtrack_beta: float = 0.5
-    backtrack_c: float = 1e-4
     init_q: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.grad_tol <= 0.0:
-            raise ValueError("grad_tol must be positive")
+        if not (math.isfinite(self.grad_tol) and self.grad_tol > 0.0):
+            raise ValueError(f"grad_tol must be positive and finite, got {self.grad_tol}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if not 0.0 < self.backtrack_beta < 1.0:
-            raise ValueError("backtrack_beta must lie in (0, 1)")
-        if not 0.0 < self.backtrack_c < 1.0:
-            raise ValueError("backtrack_c must lie in (0, 1)")
         if self.init_q is not None:
             init = tuple(float(x) for x in self.init_q)
-            if any(x < 0.0 for x in init):
-                raise ValueError("init_q must be nonnegative")
+            if not all(0.0 < x < math.inf for x in init):
+                raise ValueError("init_q must be positive and finite")
             object.__setattr__(self, "init_q", init)
 
 
@@ -61,7 +58,7 @@ class SolverConfig:
 class SolveResult:
     """Outcome of one solve.
 
-    kkt_residual is the projected-gradient norm at the returned point;
+    kkt_residual is the gradient norm at the returned point;
     monotone records whether the recovered menu has nondecreasing q and pi
     (guaranteed for uniformly distributed types, flagged rather than clamped
     otherwise).
@@ -127,7 +124,11 @@ def expected_quadratic_coefficients(profile: TypeProfile, n_total: int) -> np.nd
 
 
 class _ReducedProblem:
-    """Expected-utility objective in q alone, with the count table built once."""
+    """Expected-utility objective in q alone, with the count table built once.
+
+    Every pass takes s = counts @ q, so a caller that already holds s (the
+    solver's accepted line-search candidate) does not recompute it.
+    """
 
     def __init__(self, profile: TypeProfile, gamma: float, bandwidth_w: float, n_total: int):
         counts, self.probs = composition_table(n_total, profile.k)
@@ -136,21 +137,35 @@ class _ReducedProblem:
         self.gamma = gamma
         self.w = bandwidth_w
 
-    def value(self, q: np.ndarray) -> float:
-        rate = self.w * np.log2(1.0 + self.gamma * (self.counts @ q))
-        return float(self.probs @ rate - self.exp_d @ (q * q))
+    def parts(self, q: np.ndarray, s: np.ndarray) -> tuple[float, float]:
+        """(rate, quad): the objective is rate - quad."""
+        rate = self.w * float(self.probs @ np.log1p(self.gamma * s)) / LN2
+        return rate, float(self.exp_d @ (q * q))
 
-    def gradient(self, q: np.ndarray) -> np.ndarray:
-        denom = 1.0 + self.gamma * (self.counts @ q)
-        log_part = (self.w * self.gamma / LN2) * (self.counts.T @ (self.probs / denom))
-        return log_part - 2.0 * self.exp_d * q
+    def newton_system(self, q: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Gradient and Hessian in one pass over the table, with a = gamma / (1 + gamma s):
 
-    def noise_floor(self, q: np.ndarray) -> float:
-        # float resolution of the objective: its two parts can cancel, so the
-        # line search cannot discriminate gains below this scale
-        quad = abs(float(self.exp_d @ (q * q)))
-        rate = abs(float(self.probs @ (self.w * np.log2(1.0 + self.gamma * (self.counts @ q)))))
-        return 1e-13 * (quad + rate) + 1e-300
+            grad = (W / ln 2) C^T (Phi a) - 2 E[D] q
+            hess = -(W / ln 2) C^T diag(Phi a^2) C - 2 diag(E[D])
+
+        Folding gamma into a keeps both finite at any finite gamma. The
+        Hessian is summed over fixed row blocks, so no table-sized weighted
+        copy of C is ever formed.
+        """
+        slope = self.gamma / (1.0 + self.gamma * s)
+        u = self.probs * slope
+        curv = u * slope
+        k = q.size
+        cu = np.zeros(k)
+        cwc = np.zeros((k, k))
+        for lo in range(0, self.counts.shape[0], _BLOCK_ROWS):
+            block = self.counts[lo : lo + _BLOCK_ROWS]
+            cu += block.T @ u[lo : lo + _BLOCK_ROWS]
+            cwc += block.T @ (block * curv[lo : lo + _BLOCK_ROWS, None])
+        grad = (self.w / LN2) * cu - 2.0 * self.exp_d * q
+        hess = -(self.w / LN2) * cwc
+        hess[np.diag_indices(k)] -= 2.0 * self.exp_d
+        return grad, hess
 
 
 def reduced_objective(
@@ -169,7 +184,9 @@ def reduced_objective(
         raise ValueError(f"q must have length {profile.k}, got {q.size}")
     if q.size and q.min() < 0.0:
         raise ValueError("q must be nonnegative")
-    return _ReducedProblem(profile, gamma, bandwidth_w, n_total).value(q)
+    problem = _ReducedProblem(profile, gamma, bandwidth_w, n_total)
+    rate, quad = problem.parts(q, problem.counts @ q)
+    return rate - quad
 
 
 def reduced_gradient(
@@ -182,12 +199,8 @@ def reduced_gradient(
     q = np.asarray(q, dtype=float)
     if q.size != profile.k:
         raise ValueError(f"q must have length {profile.k}, got {q.size}")
-    return _ReducedProblem(profile, gamma, bandwidth_w, n_total).gradient(q)
-
-
-def _projected_residual(q: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    # at an active bound only an inward (positive) gradient counts as violation
-    return np.where(q > 0.0, grad, np.maximum(grad, 0.0))
+    problem = _ReducedProblem(profile, gamma, bandwidth_w, n_total)
+    return problem.newton_system(q, problem.counts @ q)[0]
 
 
 def _is_nondecreasing(values: np.ndarray) -> bool:
@@ -202,13 +215,18 @@ def solve(
     n_total: int,
     cfg: SolverConfig | None = None,
 ) -> SolveResult:
-    """Maximize the reduced objective over q >= 0 and recover rewards.
+    """Maximize the reduced objective and recover rewards.
 
-    Projected gradient ascent, preconditioned by the inverse curvature of the
-    quadratic reward term (1 / (2 E[D_k])), with Armijo backtracking. Near the
-    optimum, where objective differences drop below float resolution, the
-    trial step is accepted as-is; the iteration is then a contraction and the
-    true projected-gradient norm remains the stopping rule.
+    Damped Newton (Boyd & Vandenberghe, Convex Optimization, 9.5): each step
+    solves the K x K Newton system and is halved until it satisfies the
+    Armijo condition. A full step that would leave q_k <= 0 is first cut to
+    a fraction of the way to the boundary, so every iterate stays positive.
+    Once the Newton decrement is below the float resolution of the objective
+    the step is taken as-is, since the line search can no longer tell gains
+    from rounding. The solve stops when the gradient norm is at most grad_tol
+    and the Newton step would move no q_k by more than _STEP_RTOL of its
+    value. The second condition pins q where the first cannot: at tiny gamma
+    every gradient term is below grad_tol wherever q is.
 
     Monotonicity of the recovered menu is verified, not assumed: a violation
     (possible only off the uniform-type assumption) is flagged in the result
@@ -228,35 +246,36 @@ def solve(
     else:
         q = np.full(k, 1e-3)
 
-    precond = 1.0 / (2.0 * problem.exp_d)
-    f = problem.value(q)
-    alpha = 1.0
+    s = problem.counts @ q
+    rate, quad = problem.parts(q, s)
     residual = math.inf
     converged = False
     iterations = 0
 
     for iterations in range(cfg.max_iters + 1):
-        grad = problem.gradient(q)
-        residual = float(np.linalg.norm(_projected_residual(q, grad)))
-        if residual <= cfg.grad_tol:
+        grad, hess = problem.newton_system(q, s)
+        residual = float(np.linalg.norm(grad))
+        step = np.linalg.solve(-hess, grad)
+        if residual <= cfg.grad_tol and np.all(np.abs(step) <= _STEP_RTOL * q):
             converged = True
             break
         if iterations == cfg.max_iters:
             break
-        direction = precond * grad
-        floor = problem.noise_floor(q)
-        step = min(alpha / cfg.backtrack_beta, 1.0)
+        decrement = float(grad @ step)  # lambda^2
+        crossing = q + step <= 0.0
+        t = _TO_BOUNDARY * float(np.min(q[crossing] / -step[crossing])) if crossing.any() else 1.0
+        resolved = 0.5 * decrement <= _RESOLUTION * (abs(rate) + abs(quad))
         while True:
-            candidate = np.maximum(q + step * direction, 0.0)
-            f_cand = problem.value(candidate)
-            gain = cfg.backtrack_c * float(grad @ (candidate - q))
-            if gain <= floor or f_cand >= f + gain or step < 1e-20:
+            candidate = q + t * step
+            s_cand = problem.counts @ candidate
+            rate_cand, quad_cand = problem.parts(candidate, s_cand)
+            gain = (rate_cand - quad_cand) - (rate - quad)
+            if resolved or gain >= _ARMIJO_C * t * decrement or t < _MIN_STEP:
                 break
-            step *= cfg.backtrack_beta
-        alpha = step
-        q, f = candidate, f_cand
+            t *= 0.5
+        q, s, rate, quad = candidate, s_cand, rate_cand, quad_cand
 
     pi = reward_recovery(q, profile)
     contract = Contract.from_arrays(q, pi)
     monotone = _is_nondecreasing(q) and _is_nondecreasing(pi)
-    return SolveResult(contract, f, iterations, converged, residual, monotone)
+    return SolveResult(contract, rate - quad, iterations, converged, residual, monotone)

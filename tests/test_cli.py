@@ -88,6 +88,59 @@ class TestConfigHandling:
         assert "sweep.gamma_max" in capsys.readouterr().err
         assert not (out / "sweep.csv").exists()
 
+    def test_nan_tol_is_a_config_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"scenario": {"n_eaps": 2, "k_types": 5}, "solve": {"tol": math.nan}})
+        assert main(["solve", "--config", path, "--out", str(tmp_path / "out")]) == 1
+        assert "solve.tol" in capsys.readouterr().err
+        assert main(["solve", "--out", str(tmp_path / "run")]) == 0
+        contract = str(tmp_path / "run" / "contract.csv")
+        assert main(["verify", "--config", path, "--contract", contract, "--out", str(tmp_path / "v")]) == 1
+        assert "solve.tol" in capsys.readouterr().err
+
+    def test_nan_grad_tol_is_a_config_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"scenario": {"n_eaps": 2, "k_types": 5}, "solver": {"grad_tol": math.nan}})
+        assert main(["solve", "--config", path, "--out", str(tmp_path / "out")]) == 1
+        assert "grad_tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, section, key, value",
+        [
+            ("sweep", "sweep", "gamma_steps", "x"),
+            ("sweep", "sweep", "gamma_steps", 2.5),
+            ("solve", "scenario", "n_eaps", 2.7),
+            ("solve", "scenario", "k_types", True),
+            ("solve", "scenario", "rng_seed", "7"),
+            ("solve", "solver", "max_iters", False),
+            ("solve", "solver", "max_iters", 10.5),
+            ("solve", "solver", "max_iters", math.nan),
+        ],
+    )
+    def test_non_integer_field_is_a_config_error(self, tmp_path, capsys, command, section, key, value):
+        payload = {"scenario": {"n_eaps": 2, "k_types": 5}}
+        payload.setdefault(section, {})[key] = value
+        path = write_config(tmp_path, payload)
+        assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 1
+        assert f"{section}.{key} must be an integer" in capsys.readouterr().err
+
+    def test_integral_float_count_is_accepted(self, tmp_path):
+        path = write_config(tmp_path, {"scenario": {"n_eaps": 2.0, "k_types": 5.0}})
+        out = tmp_path / "out"
+        assert main(["solve", "--config", path, "--out", str(out)]) == 0
+        assert len(read_rows(out / "contract.csv")) == 5
+
+    def test_deprecated_backtrack_keys_load_with_a_notice(self, tmp_path, capsys):
+        path = write_config(
+            tmp_path,
+            {"scenario": {"n_eaps": 2, "k_types": 5}, "solver": {"backtrack_beta": 0.5, "backtrack_c": 1e-4}},
+        )
+        out = tmp_path / "out"
+        assert main(["solve", "--config", path, "--out", str(out)]) == 0
+        notices = [line for line in capsys.readouterr().err.splitlines() if "deprecated" in line]
+        assert len(notices) == 2
+        assert "solver.backtrack_beta" in notices[0] and "solver.backtrack_c" in notices[1]
+        echo = json.loads((out / "config_echo.json").read_text())
+        assert "backtrack_beta" not in echo["solver"] and "backtrack_c" not in echo["solver"]
+
 
 class TestSolveCommand:
     def test_default_run(self, tmp_path, capsys):
@@ -290,6 +343,20 @@ class TestVerifyCommand:
         bad.write_text("a,b\n1,2\n")
         code = main(["verify", "--contract", str(bad), "--out", str(tmp_path / "v")])
         assert code == 1
+
+    @pytest.mark.parametrize("column", ["theta", "q", "pi"])
+    def test_nan_cell_is_a_config_error(self, tmp_path, capsys, column):
+        out = tmp_path / "run"
+        assert main(["solve", "--out", str(out)]) == 0
+        rows = read_rows(out / "contract.csv")
+        rows[2][column] = "nan"
+        bad = tmp_path / "nan.csv"
+        with open(bad, "w", newline="") as handle:
+            writer = csv.DictWriter(handle, fieldnames=CONTRACT_COLUMNS, lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
+        assert main(["verify", "--contract", str(bad), "--out", str(tmp_path / "v")]) == 1
+        assert "finite" in capsys.readouterr().err
 
     def test_read_contract_roundtrip(self, tmp_path):
         out = tmp_path / "run"

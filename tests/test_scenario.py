@@ -177,6 +177,16 @@ class TestRunSweep:
         assert np.all(sweep.normalized_linear >= 0.75)
         assert run_sweep(ScenarioConfig(), [1e-150]).welfare_linear[0] > 0.0
 
+    def test_tiny_gamma_menu_stays_between_the_baselines(self):
+        # At these gammas every gradient term is below grad_tol wherever q is,
+        # so the gradient norm alone does not pin the menu: a solve stopped on
+        # it alone returned q = 0 at 1e-20, and at 1e-12 kept the 1e-20 menu
+        # it was warm-started from (contract welfare below uniform pricing)
+        sweep = run_sweep(ScenarioConfig(), [1e-20, 1e-12])
+        assert np.all(sweep.welfare_complete >= sweep.welfare_contract)
+        assert np.all(sweep.welfare_contract >= sweep.welfare_linear)
+        assert np.all(sweep.welfare_linear > 0.0)
+
     def test_underflowing_first_best_aborts_with_gamma(self):
         # at 1e-170 the first-best welfare underflows to 0 in a nonempty
         # market; that is no empty market, so no ratio of 1 is reported

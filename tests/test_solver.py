@@ -1,4 +1,7 @@
+import csv
 import math
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,19 +9,26 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 from energy_contracts import (
+    ScenarioConfig,
     TypeProfile,
     SolverConfig,
+    bandwidth_mbps,
+    build_type_ladder,
     expected_dap_utility,
     expected_quadratic_coefficients,
     quadratic_coefficients,
     reduced_gradient,
     reduced_objective,
+    reference_gamma,
     reward_recovery,
     solve,
     weighted_compositions,
 )
+from energy_contracts import solver as solver_module
+from energy_contracts.solver import _ReducedProblem
 
 LN2 = math.log(2.0)
+REFERENCE_DIR = Path(__file__).resolve().parent.parent / "bench" / "reference"
 
 
 @st.composite
@@ -158,6 +168,41 @@ class TestReducedGradient:
                     assert grad[i] == pytest.approx(fd, rel=1e-5)
 
 
+class TestReducedHessian:
+    def test_finite_difference_of_gradient(self):
+        rng = np.random.default_rng(29)
+        for n, k in [(1, 1), (2, 3), (3, 2), (4, 5)]:
+            profile = TypeProfile(tuple(np.cumsum(rng.uniform(0.2, 1.0, k)) + 0.3))
+            gamma, w = rng.uniform(0.3, 20.0), rng.uniform(0.5, 2.0)
+            problem = _ReducedProblem(profile, gamma, w, n)
+            for _ in range(5):
+                q = rng.uniform(0.1, 2.0, size=k)
+                hess = problem.newton_system(q, problem.counts @ q)[1]
+                np.testing.assert_allclose(hess, hess.T, rtol=1e-14)
+                for i in range(k):
+                    h = 1e-6 * max(1.0, abs(q[i]))
+                    up, down = q.copy(), q.copy()
+                    up[i] += h
+                    down[i] -= h
+                    fd = (
+                        reduced_gradient(up, profile, gamma, w, n) - reduced_gradient(down, profile, gamma, w, n)
+                    ) / (2 * h)
+                    np.testing.assert_allclose(hess[:, i], fd, rtol=1e-5, atol=1e-9 * np.abs(hess).max())
+
+    def test_blocks_cover_every_row(self):
+        # N=6, K=5 has 210 rows; a block of 64 rows leaves a partial last block
+        profile = TypeProfile((0.5, 1.0, 1.5, 2.0, 2.5))
+        problem = _ReducedProblem(profile, 3.0, 1.0, 6)
+        q = np.linspace(0.2, 1.0, 5)
+        s = problem.counts @ q
+        weights = problem.probs / (1.0 + 3.0 * s) ** 2
+        full = -(3.0**2 / LN2) * (problem.counts.T @ (problem.counts * weights[:, None]))
+        full -= np.diag(2.0 * problem.exp_d)
+        with mock.patch.object(solver_module, "_BLOCK_ROWS", 64):
+            blocked = problem.newton_system(q, s)[1]
+        np.testing.assert_allclose(blocked, full, rtol=1e-13)
+
+
 class TestSolve:
     def test_single_type_matches_root_oracle(self):
         # stationarity at K=N=W=gamma=theta=1: 2q(1+q) = 1/ln2
@@ -201,6 +246,26 @@ class TestSolve:
         assert res.objective == 0.0
         np.testing.assert_array_equal(res.contract.qs, np.zeros(2))
 
+    @pytest.mark.parametrize("multiple", [1.0, 1e2, 1e4, 1e6])
+    def test_converges_across_saturation(self, multiple):
+        cfg = ScenarioConfig(n_eaps=5, k_types=6)
+        res = solve(build_type_ladder(cfg), multiple * reference_gamma(cfg), bandwidth_mbps(cfg), 5)
+        assert res.converged
+        assert res.kkt_residual <= SolverConfig().grad_tol
+        assert res.contract.qs.min() > 0.0
+        assert res.monotone
+        assert res.iterations <= 30
+
+    def test_saturated_optimum_matches_reference(self):
+        # the solve-saturated benchmark workload: N=10, K=10, gamma 10^3 times the reference;
+        # the reference menu was written by the earlier gradient-ascent solver
+        cfg = ScenarioConfig(n_eaps=10, k_types=10)
+        res = solve(build_type_ladder(cfg), 125.0, bandwidth_mbps(cfg), 10)
+        with open(REFERENCE_DIR / "solve-saturated.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        np.testing.assert_allclose(res.contract.qs, [float(r["q"]) for r in rows], rtol=1e-6)
+        np.testing.assert_allclose(res.contract.pis, [float(r["pi"]) for r in rows], rtol=1e-6)
+
     def test_iteration_cap_flags_nonconvergence(self):
         cfg = SolverConfig(grad_tol=1e-14, max_iters=1)
         res = solve(TypeProfile((1.0,)), 1.0, 1.0, 1, cfg)
@@ -224,13 +289,17 @@ class TestSolverConfig:
         [
             {"grad_tol": 0.0},
             {"max_iters": 0},
-            {"backtrack_beta": 1.0},
-            {"backtrack_beta": 0.0},
-            {"backtrack_c": 0.0},
-            {"backtrack_c": 1.0},
+            {"grad_tol": math.nan},
+            {"grad_tol": math.inf},
+            {"init_q": (0.0,)},
+            {"init_q": (math.nan,)},
             {"init_q": (-0.1,)},
         ],
     )
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
+
+    def test_line_search_keys_are_gone(self):
+        with pytest.raises(TypeError):
+            SolverConfig(backtrack_beta=0.5)
