@@ -21,14 +21,9 @@ from .baselines import (
     linear_pricing_optimize,
 )
 from .compositions import (
-    Composition,
-    WeightedComposition,
     composition_table,
-    enumerate_compositions,
     expected_dap_utility,
     expected_social_welfare,
-    multinomial_prob,
-    weighted_compositions,
 )
 from .feasibility import (
     FeasibilityReport,
@@ -42,16 +37,12 @@ from .feasibility import (
 from .market import (
     Contract,
     ContractItem,
-    EapPhysical,
     NULL_ITEM,
-    PhysicalParams,
     TypeProfile,
     dap_utility,
     eap_utility,
-    harvested_energy,
     social_welfare,
     throughput,
-    type_of,
 )
 from .scenario import (
     ScenarioConfig,

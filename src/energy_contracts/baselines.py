@@ -71,7 +71,7 @@ def complete_info_contract(
 ) -> CompleteInfoSolution:
     """Welfare-maximizing menu when the collector observes the realized type
     counts. First-order conditions give q_k proportional to theta_k."""
-    n = np.asarray(getattr(counts, "counts", counts), dtype=float)
+    n = np.asarray(counts, dtype=float)
     thetas = profile.as_array()
     if n.size != thetas.size:
         raise ValueError("counts length does not match the type ladder")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -22,15 +23,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .feasibility import verify_contract
+from .feasibility import DEFAULT_TOL, verify_contract
 from .market import Contract, TypeProfile
 from .scenario import (
+    DEFAULT_GAMMA_STEPS,
     RNG_ALGORITHM,
     ScenarioConfig,
     SweepError,
     bandwidth_mbps,
     build_type_ladder,
-    default_gamma_grid,
     gamma_range,
     reference_gamma,
     run_sweep,
@@ -61,32 +62,27 @@ class ConfigError(Exception):
     pass
 
 
+# the config sections that mirror a dataclass, field for field
+_DATACLASS_SECTIONS = {"scenario": ScenarioConfig, "solver": SolverConfig}
+
+
 def default_config() -> dict:
-    """Fully populated configuration reproducing the reference setup."""
-    return {
-        "scenario": {
-            "n_eaps": 2,
-            "k_types": 5,
-            "a_range": [0.1, 1.0],
-            "d_ms_range": [5.0, 10.0],
-            "d_as_range": [15.0, 25.0],
-            "path_loss_alpha": 2.0,
-            "ref_atten_db": 30.0,
-            "eta": 0.5,
-            "bandwidth_hz": 1_000_000.0,
-            "noise_mw": 1e-08,
-            "rng_seed": 20260808,
-            "power_unit": "uW",
-        },
-        "solver": {
-            "grad_tol": 1e-08,
-            "max_iters": 10_000,
-            "init_q": None,
-        },
-        "solve": {"gamma": None, "tol": 1e-09},
-        "sweep": {"gamma_min": None, "gamma_max": None, "gamma_steps": 9},
-        "curves": {"gamma": None, "probe_types": None},
+    """Fully populated configuration reproducing the reference setup.
+
+    The scenario and solver sections are the dataclass defaults, tuples as
+    JSON lists.
+    """
+    cfg = {
+        name: {
+            f.name: list(f.default) if isinstance(f.default, tuple) else f.default
+            for f in dataclasses.fields(cls)
+        }
+        for name, cls in _DATACLASS_SECTIONS.items()
     }
+    cfg["solve"] = {"gamma": None, "tol": DEFAULT_TOL}
+    cfg["sweep"] = {"gamma_min": None, "gamma_max": None, "gamma_steps": DEFAULT_GAMMA_STEPS}
+    cfg["curves"] = {"gamma": None, "probe_types": None}
+    return cfg
 
 
 # keys of the retired gradient-ascent line search: still accepted, ignored
@@ -149,7 +145,8 @@ def resolve_config(user: dict | None) -> dict:
 
 def _config_int(value, name: str) -> int:
     """The one check for integer fields: bools, non-integral numbers and strings are refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not float(value).is_integer():
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
@@ -164,37 +161,35 @@ def _positive_finite(value, name: str) -> float:
     return number
 
 
-def scenario_from_config(cfg: dict) -> ScenarioConfig:
-    sc = cfg["scenario"]
+def _dataclass_from_config(cfg: dict, section: str):
+    """Build a section's dataclass, converting each value by the type of its
+    field's default; an optional (None-default) field takes null or a vector."""
+    cls = _DATACLASS_SECTIONS[section]
+    values = {}
     try:
-        return ScenarioConfig(
-            n_eaps=_config_int(sc["n_eaps"], "scenario.n_eaps"),
-            k_types=_config_int(sc["k_types"], "scenario.k_types"),
-            a_range=tuple(sc["a_range"]),
-            d_ms_range=tuple(sc["d_ms_range"]),
-            d_as_range=tuple(sc["d_as_range"]),
-            path_loss_alpha=float(sc["path_loss_alpha"]),
-            ref_atten_db=float(sc["ref_atten_db"]),
-            eta=float(sc["eta"]),
-            bandwidth_hz=float(sc["bandwidth_hz"]),
-            noise_mw=float(sc["noise_mw"]),
-            rng_seed=_config_int(sc["rng_seed"], "scenario.rng_seed"),
-            power_unit=str(sc["power_unit"]),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid scenario: {exc}") from exc
+        for f in dataclasses.fields(cls):
+            value = cfg[section][f.name]
+            if isinstance(f.default, int):
+                values[f.name] = _config_int(value, f"{section}.{f.name}")
+            elif f.default is None:
+                values[f.name] = None if value is None else tuple(value)
+            else:
+                values[f.name] = type(f.default)(value)
+        return cls(**values)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"invalid {section}: {exc}") from exc
+
+
+def scenario_from_config(cfg: dict) -> ScenarioConfig:
+    return _dataclass_from_config(cfg, "scenario")
 
 
 def solver_from_config(cfg: dict) -> SolverConfig:
-    sv = cfg["solver"]
-    try:
-        return SolverConfig(
-            grad_tol=float(sv["grad_tol"]),
-            max_iters=_config_int(sv["max_iters"], "solver.max_iters"),
-            init_q=None if sv["init_q"] is None else tuple(sv["init_q"]),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid solver settings: {exc}") from exc
+    solver = _dataclass_from_config(cfg, "solver")
+    k = scenario_from_config(cfg).k_types
+    if solver.init_q is not None and len(solver.init_q) != k:
+        raise ConfigError(f"solver.init_q must hold one value per type ({k}), got {len(solver.init_q)}")
+    return solver
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -238,8 +233,11 @@ def _contract_rows(profile: TypeProfile, contract: Contract):
 
 
 def _resolve_gamma(cfg_value, default: float, name: str) -> float:
-    """The one check for every gamma field: null takes the default, else a positive finite number."""
-    return default if cfg_value is None else _positive_finite(cfg_value, name)
+    """The one check for every gamma field: null takes the default derived
+    from the scenario, and either value must be a positive finite number."""
+    if cfg_value is None:
+        return _positive_finite(default, f"{name} (derived from the scenario)")
+    return _positive_finite(cfg_value, name)
 
 
 def _solve_once(cfg: dict, gamma_key: str):
@@ -314,12 +312,17 @@ def cmd_sweep(cfg: dict, out_dir: Path) -> int:
 
 
 def cmd_curves(cfg: dict, out_dir: Path) -> int:
+    probes = cfg["curves"]["probe_types"]
+    if probes is not None:
+        if not isinstance(probes, list):
+            raise ConfigError(f"curves.probe_types must be a list of type indices, got {probes!r}")
+        probes = [_config_int(t, f"curves.probe_types[{i}]") for i, t in enumerate(probes)]
     scenario, profile, gamma, result = _solve_once(cfg, "curves")
     if not result.converged:
         print(f"solver did not converge (residual {result.kkt_residual:g})", file=sys.stderr)
         return EXIT_SOLVER
-    probes = cfg["curves"]["probe_types"]
-    probes = list(range(1, profile.k + 1)) if probes is None else [int(t) for t in probes]
+    if probes is None:
+        probes = list(range(1, profile.k + 1))
     cfg["curves"]["probe_types"] = probes
     try:
         table = utility_curves(result.contract, profile, probes)

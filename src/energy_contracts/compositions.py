@@ -9,39 +9,12 @@ and deterministic (ascending lexicographic order) so sums are bit-reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .market import LN2, TypeProfile
-
-
-@dataclass(frozen=True)
-class Composition:
-    """Count vector (n_1, ..., n_K): how many sellers hold each type."""
-
-    counts: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "counts", tuple(int(n) for n in self.counts))
-        if any(n < 0 for n in self.counts):
-            raise ValueError("counts must be nonnegative")
-
-    @property
-    def n_total(self) -> int:
-        return sum(self.counts)
-
-    @property
-    def k(self) -> int:
-        return len(self.counts)
-
-
-@dataclass(frozen=True)
-class WeightedComposition:
-    composition: Composition
-    prob: float
 
 
 def _composition_tuples(n_total: int, k_types: int) -> Iterator[tuple[int, ...]]:
@@ -53,43 +26,14 @@ def _composition_tuples(n_total: int, k_types: int) -> Iterator[tuple[int, ...]]
             yield (head,) + tail
 
 
-def enumerate_compositions(n_total: int, k_types: int) -> list[Composition]:
-    """All count vectors of n_total sellers over k_types types.
-
-    Returned in ascending lexicographic order; the list has exactly
-    C(n_total + k_types - 1, k_types - 1) entries.
-    """
-    if k_types < 1:
-        raise ValueError(f"k_types must be at least 1, got {k_types}")
-    if n_total < 0:
-        raise ValueError(f"n_total must be nonnegative, got {n_total}")
-    return [Composition(t) for t in _composition_tuples(n_total, k_types)]
-
-
-def multinomial_prob(comp: Composition) -> float:
-    """Probability N! / (n_1! ... n_K! K^N) of one count vector under the
-    uniform type distribution.
-
-    Evaluated through log-factorials so large N does not overflow.
-    """
-    n = comp.n_total
-    k = comp.k
-    log_p = math.lgamma(n + 1) - n * math.log(k)
-    for c in comp.counts:
-        log_p -= math.lgamma(c + 1)
-    return math.exp(log_p)
-
-
-def weighted_compositions(n_total: int, k_types: int) -> list[WeightedComposition]:
-    """Enumeration paired with multinomial weights; probabilities sum to 1."""
-    return [WeightedComposition(c, multinomial_prob(c)) for c in enumerate_compositions(n_total, k_types)]
-
-
 @lru_cache(maxsize=64)
 def composition_table(n_total: int, k_types: int) -> tuple[np.ndarray, np.ndarray]:
-    """(counts matrix, probability vector) for vectorized expectation sums.
+    """(counts matrix, probability vector): all C(N+K-1, K-1) count vectors
+    of n_total sellers over k_types types, in ascending lexicographic order,
+    each with its multinomial probability N! / (n_1! ... n_K! K^N).
 
-    Rows follow enumerate_compositions order. Cached and returned read-only:
+    The counts are float64, which holds every count exactly, so the table
+    enters float products without a cast. Cached and returned read-only:
     the same table is reused across solver iterations and sweep points.
     """
     if k_types < 1:
@@ -102,6 +46,7 @@ def composition_table(n_total: int, k_types: int) -> tuple[np.ndarray, np.ndarra
     lgamma = np.array([math.lgamma(i + 1) for i in range(n_total + 1)])
     log_probs = lgamma[n_total] - lgamma[counts].sum(axis=1) - n_total * math.log(k_types)
     probs = np.exp(log_probs)
+    counts = counts.astype(np.float64)
     counts.setflags(write=False)
     probs.setflags(write=False)
     return counts, probs

@@ -18,73 +18,14 @@ import numpy as np
 LN2 = math.log(2.0)
 
 
-def _as_counts(counts) -> np.ndarray:
-    """Accept a Composition-like object (anything with .counts) or a plain sequence."""
-    return np.asarray(getattr(counts, "counts", counts), dtype=float)
-
-
-@dataclass(frozen=True)
-class PhysicalParams:
-    """Physical constants of one market instance.
-
-    eta:              RF energy harvesting efficiency, 0 < eta < 1
-    bandwidth_w:      channel bandwidth (rate units)
-    noise_n0:         noise power at the collector (mW)
-    dap_channel_gain: power gain of the sensor-to-collector link
-    unit_cost_c:      collector's cost per reward unit, normalized to 1
-    """
-
-    eta: float
-    bandwidth_w: float
-    noise_n0: float
-    dap_channel_gain: float
-    unit_cost_c: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 < self.eta < 1.0:
-            raise ValueError(f"eta must lie in (0, 1), got {self.eta}")
-        for name in ("bandwidth_w", "noise_n0", "dap_channel_gain"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-
-    def gamma(self) -> float:
-        """SNR slope eta * G / N0 seen by the sensor-to-collector link."""
-        return self.eta * self.dap_channel_gain / self.noise_n0
-
-
-@dataclass(frozen=True)
-class EapPhysical:
-    """One charger's private parameters.
-
-    cost_coeff_a:   quadratic energy cost coefficient (reward units per mW^2)
-    channel_gain_g: power gain of the charger-to-sensor link
-    """
-
-    cost_coeff_a: float
-    channel_gain_g: float
-
-    def __post_init__(self):
-        if self.cost_coeff_a <= 0.0:
-            raise ValueError("cost_coeff_a must be positive")
-        if self.channel_gain_g <= 0.0:
-            raise ValueError("channel_gain_g must be positive")
-
-
-def type_of(eap: EapPhysical) -> float:
-    """Quality index G^2/a of a charger.
-
-    A stronger link toward the sensor and/or a cheaper energy source both
-    raise the index; it is the only private information that matters for
-    contract design.
-    """
-    return eap.channel_gain_g**2 / eap.cost_coeff_a
-
-
 @dataclass(frozen=True)
 class TypeProfile:
     """Ascending ladder of K seller quality values theta_1 < ... < theta_K.
 
-    Every seller independently has each quality with probability 1/K.
+    A seller's quality is G^2/a, its link gain squared over its energy cost
+    coefficient (see scenario.build_type_ladder); it is the only private
+    information that matters for contract design. Every seller independently
+    has each quality with probability 1/K.
     """
 
     thetas: tuple[float, ...]
@@ -155,25 +96,6 @@ class Contract:
         return np.array([item.pi for item in self.items])
 
 
-def harvested_energy(
-    charging_powers: Sequence[float], channel_gains: Sequence[float], eta: float
-) -> float:
-    """Energy captured by the sensor in one block: eta * sum(p_m * G_m).
-
-    The sensor spends it all within the block, so this is also its transmit
-    power.
-    """
-    p = np.asarray(charging_powers, dtype=float)
-    g = np.asarray(channel_gains, dtype=float)
-    if p.shape != g.shape:
-        raise ValueError(
-            f"charging_powers and channel_gains must have equal length, got {p.size} and {g.size}"
-        )
-    if p.size and (p.min() < 0.0 or g.min() < 0.0):
-        raise ValueError("powers and gains must be nonnegative")
-    return float(eta * (p @ g)) if p.size else 0.0
-
-
 def throughput(total_received_q: float, gamma: float, bandwidth_w: float) -> float:
     """Achievable rate W * log2(1 + gamma * q_total).
 
@@ -197,7 +119,7 @@ def dap_utility(counts, contract: Contract, gamma: float, bandwidth_w: float) ->
     Throughput value minus rewards paid out (unit reward cost):
     W log2(1 + gamma * sum_k n_k q_k) - sum_k n_k pi_k.
     """
-    n = _as_counts(counts)
+    n = np.asarray(counts, dtype=float)
     if n.size != len(contract):
         raise ValueError(f"counts length {n.size} does not match contract length {len(contract)}")
     return throughput(float(n @ contract.qs), gamma, bandwidth_w) - float(n @ contract.pis)
@@ -211,7 +133,7 @@ def social_welfare(
     Reward transfers cancel, so this equals the collector's utility plus the
     sum of all seller utilities.
     """
-    n = _as_counts(counts)
+    n = np.asarray(counts, dtype=float)
     if n.size != len(contract) or n.size != profile.k:
         raise ValueError("counts, contract and profile must have equal length")
     q = contract.qs

@@ -24,6 +24,8 @@ POWER_UNIT_SCALE = {"mW": 1.0, "uW": 1e3}
 
 RNG_ALGORITHM = "pcg64"  # numpy default_rng; recorded in run metadata
 
+DEFAULT_GAMMA_STEPS = 9  # points of the default SNR-slope grid
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -32,7 +34,9 @@ class ScenarioConfig:
 
     Distances in meters, noise in mW, bandwidth in Hz. Ranges are inclusive
     [low, high] pairs. power_unit selects the unit q is expressed in; "uW"
-    keeps the solver numbers well scaled for these defaults.
+    keeps the solver numbers well scaled for these defaults. Every number
+    must be finite, and the type ladder and the SNR-slope range are built
+    once here, so a config they cannot use is refused on construction.
     """
 
     n_eaps: int = 2
@@ -55,8 +59,11 @@ class ScenarioConfig:
             raise ValueError("k_types must be at least 1")
         for name in ("a_range", "d_ms_range", "d_as_range"):
             lo, hi = getattr(self, name)
-            if not (0.0 < lo <= hi):
-                raise ValueError(f"{name} must be a positive nonempty [low, high] pair")
+            if not (0.0 < lo <= hi < math.inf):
+                raise ValueError(f"{name} must be a finite positive nonempty [low, high] pair")
+        for name in ("path_loss_alpha", "ref_atten_db", "bandwidth_hz", "noise_mw"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.path_loss_alpha <= 0.0:
             raise ValueError("path_loss_alpha must be positive")
         if not 0.0 <= self.eta <= 1.0:
@@ -65,6 +72,9 @@ class ScenarioConfig:
             raise ValueError("bandwidth_hz and noise_mw must be positive")
         if self.power_unit not in POWER_UNIT_SCALE:
             raise ValueError(f"power_unit must be one of {sorted(POWER_UNIT_SCALE)}")
+        # building them is the check: TypeProfile validates theta, channel_gain the distances
+        build_type_ladder(self)
+        gamma_range(self)
 
 
 def channel_gain(distance_m: float, alpha: float = 2.0, ref_atten_db: float = 30.0) -> float:
@@ -120,7 +130,7 @@ def bandwidth_mbps(cfg: ScenarioConfig) -> float:
     return cfg.bandwidth_hz / 1e6
 
 
-def default_gamma_grid(cfg: ScenarioConfig, steps: int = 9) -> np.ndarray:
+def default_gamma_grid(cfg: ScenarioConfig, steps: int = DEFAULT_GAMMA_STEPS) -> np.ndarray:
     if steps < 1:
         raise ValueError("steps must be at least 1")
     lo, hi = gamma_range(cfg)

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .compositions import Composition, composition_table
+from .compositions import composition_table
 from .market import LN2, Contract, TypeProfile
 
 _MONO_RTOL = 1e-9
@@ -90,7 +90,7 @@ def reward_recovery(q: Sequence[float], profile: TypeProfile) -> np.ndarray:
     return pi
 
 
-def quadratic_coefficients(profile: TypeProfile, comp: Composition | Sequence[int]) -> np.ndarray:
+def quadratic_coefficients(profile: TypeProfile, counts: Sequence[float]) -> np.ndarray:
     """Coefficients D_k(n) that turn the reward bill into a quadratic form:
     with rewards from reward_recovery, sum_k n_k pi_k = sum_k D_k q_k^2 where
 
@@ -99,7 +99,7 @@ def quadratic_coefficients(profile: TypeProfile, comp: Composition | Sequence[in
 
     All D_k are nonnegative because the ladder is ascending.
     """
-    n = np.asarray(getattr(comp, "counts", comp), dtype=float)
+    n = np.asarray(counts, dtype=float)
     thetas = profile.as_array()
     inv = 1.0 / thetas
     above = np.concatenate([np.cumsum(n[::-1])[::-1][1:], [0.0]])  # sum_{i>k} n_i
@@ -131,8 +131,7 @@ class _ReducedProblem:
     """
 
     def __init__(self, profile: TypeProfile, gamma: float, bandwidth_w: float, n_total: int):
-        counts, self.probs = composition_table(n_total, profile.k)
-        self.counts = counts.astype(float)  # one upfront cast keeps the loop allocation-free
+        self.counts, self.probs = composition_table(n_total, profile.k)
         self.exp_d = expected_quadratic_coefficients(profile, n_total)
         self.gamma = gamma
         self.w = bandwidth_w

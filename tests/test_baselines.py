@@ -23,7 +23,6 @@ from energy_contracts import (
     reference_gamma,
     social_welfare,
     solve,
-    weighted_compositions,
 )
 
 LN2 = math.log(2.0)
@@ -117,8 +116,7 @@ class TestCompleteInfo:
         profile = build_type_ladder(cfg)
         gamma, w = reference_gamma(cfg), bandwidth_mbps(cfg)
         res = solve(profile, gamma, w, cfg.n_eaps)
-        for weighted in weighted_compositions(cfg.n_eaps, profile.k):
-            counts = weighted.composition.counts
+        for counts in composition_table(cfg.n_eaps, profile.k)[0]:
             upper = complete_info_contract(counts, profile, gamma, w).welfare
             attained = social_welfare(counts, res.contract, profile, gamma, w)
             assert upper >= attained - 1e-12
@@ -140,8 +138,8 @@ class TestExpectedCompleteInfoWelfare:
         profile = TypeProfile((0.5, 1.0, 2.0))
         n, gamma, w = 3, 1.1, 0.9
         oracle = sum(
-            wc.prob * complete_info_contract(wc.composition, profile, gamma, w).welfare
-            for wc in weighted_compositions(n, profile.k)
+            p * complete_info_contract(counts, profile, gamma, w).welfare
+            for counts, p in zip(*composition_table(n, profile.k))
         )
         assert expected_complete_info_welfare(profile, gamma, w, n) == pytest.approx(oracle, rel=1e-12)
 
@@ -203,8 +201,8 @@ class TestLinearPricing:
         q = price * profile.as_array() / 2.0
         contract = Contract.from_arrays(q, price * q)
         oracle = sum(
-            wc.prob * social_welfare(wc.composition, contract, profile, gamma, w)
-            for wc in weighted_compositions(n, profile.k)
+            p * social_welfare(counts, contract, profile, gamma, w)
+            for counts, p in zip(*composition_table(n, profile.k))
         )
         value = linear_expected_social_welfare(price, profile, gamma, w, n)
         assert value == pytest.approx(oracle, rel=1e-12)

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import math
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import pytest
 from scipy.optimize import brentq
 
+from energy_contracts import ScenarioConfig, SolverConfig, default_gamma_grid
 from energy_contracts.cli import (
     CONTRACT_COLUMNS,
     CURVE_COLUMNS,
@@ -16,7 +18,10 @@ from energy_contracts.cli import (
     main,
     read_contract_csv,
     resolve_config,
+    scenario_from_config,
+    solver_from_config,
 )
+from energy_contracts.feasibility import DEFAULT_TOL
 
 LN2 = math.log(2.0)
 
@@ -140,6 +145,51 @@ class TestConfigHandling:
         assert "solver.backtrack_beta" in notices[0] and "solver.backtrack_c" in notices[1]
         echo = json.loads((out / "config_echo.json").read_text())
         assert "backtrack_beta" not in echo["solver"] and "backtrack_c" not in echo["solver"]
+
+
+    def test_defaults_come_from_the_dataclasses(self):
+        cfg = resolve_config(None)
+        assert scenario_from_config(cfg) == ScenarioConfig()
+        assert solver_from_config(cfg) == SolverConfig()
+        assert cfg["solve"]["tol"] == DEFAULT_TOL
+        assert cfg["sweep"]["gamma_steps"] == inspect.signature(default_gamma_grid).parameters["steps"].default
+
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            {"a_range": [1e-320, 1.0]},
+            {"a_range": [0.1, math.inf]},
+            {"ref_atten_db": math.nan},
+            {"path_loss_alpha": math.inf},
+            {"bandwidth_hz": math.inf},
+            {"d_ms_range": [0.5, 10.0]},
+        ],
+    )
+    def test_out_of_domain_scenario_is_a_config_error(self, tmp_path, capsys, command, scenario):
+        path = write_config(tmp_path, {"scenario": {"n_eaps": 2, "k_types": 5, **scenario}})
+        out = tmp_path / "out"
+        assert main([command, "--config", path, "--out", str(out)]) == 1
+        assert "config error:" in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("command, field", [("solve", "solve.gamma"), ("sweep", "sweep.gamma_min")])
+    @pytest.mark.parametrize("scenario, named", [({"eta": 0.0}, None), ({"noise_mw": math.inf}, "noise_mw")])
+    def test_derived_gamma_must_be_positive(self, tmp_path, capsys, command, field, scenario, named):
+        path = write_config(tmp_path, {"scenario": {"n_eaps": 2, "k_types": 5, **scenario}})
+        out = tmp_path / "out"
+        assert main([command, "--config", path, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config error:" in err and (named or field) in err
+        assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    def test_init_q_of_wrong_length_is_a_config_error(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, {"scenario": {"n_eaps": 2, "k_types": 5}, "solver": {"init_q": [1.0, 2.0]}})
+        out = tmp_path / "out"
+        assert main([command, "--config", path, "--out", str(out)]) == 1
+        assert "solver.init_q" in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
 
 
 class TestSolveCommand:
@@ -312,6 +362,14 @@ class TestCurvesCommand:
         code = main(["curves", "--config", cfg, "--out", str(tmp_path / "x")])
         assert code == 1
         assert "probe type" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("probes", [["x"], 3, [math.inf], [2.7], [True]])
+    def test_non_integer_probes_are_a_config_error(self, tmp_path, capsys, probes):
+        cfg = write_config(tmp_path, {"scenario": {"n_eaps": 2, "k_types": 5}, "curves": {"probe_types": probes}})
+        out = tmp_path / "x"
+        assert main(["curves", "--config", cfg, "--out", str(out)]) == 1
+        assert "config error: curves.probe_types" in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
 
 
 class TestVerifyCommand:

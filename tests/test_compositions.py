@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,64 +6,70 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from energy_contracts import (
-    Composition,
     TypeProfile,
     composition_table,
-    enumerate_compositions,
     expected_dap_utility,
     expected_social_welfare,
-    multinomial_prob,
     social_welfare,
-    weighted_compositions,
     Contract,
 )
 
 
+def rows_of(n, k):
+    return [tuple(int(c) for c in row) for row in composition_table(n, k)[0]]
+
+
+def prob_of(counts):
+    """Table probability of one count vector, found by its row."""
+    rows, probs = composition_table(sum(counts), len(counts))
+    (index,) = np.flatnonzero((rows == np.asarray(counts)).all(axis=1))
+    return probs[index]
+
+
 class TestEnumeration:
     def test_two_by_two(self):
-        comps = enumerate_compositions(2, 2)
-        assert [c.counts for c in comps] == [(0, 2), (1, 1), (2, 0)]
+        assert rows_of(2, 2) == [(0, 2), (1, 1), (2, 0)]
 
     def test_stars_and_bars_count(self):
-        assert len(enumerate_compositions(5, 10)) == math.comb(14, 9)
+        assert len(rows_of(5, 10)) == math.comb(14, 9)
 
     def test_empty_market(self):
-        assert [c.counts for c in enumerate_compositions(0, 3)] == [(0, 0, 0)]
+        assert rows_of(0, 3) == [(0, 0, 0)]
 
     def test_zero_types_rejected(self):
         with pytest.raises(ValueError):
-            enumerate_compositions(2, 0)
+            composition_table(2, 0)
 
     @given(n=st.integers(0, 6), k=st.integers(1, 5))
     @settings(max_examples=60)
     def test_count_formula_and_totals(self, n, k):
-        comps = enumerate_compositions(n, k)
-        assert len(comps) == math.comb(n + k - 1, k - 1)
-        assert all(c.n_total == n for c in comps)
-        assert len(set(c.counts for c in comps)) == len(comps)
+        rows = rows_of(n, k)
+        assert len(rows) == math.comb(n + k - 1, k - 1)
+        assert all(sum(row) == n for row in rows)
+        assert len(set(rows)) == len(rows)
 
     def test_lexicographic_order(self):
-        comps = [c.counts for c in enumerate_compositions(3, 3)]
-        assert comps == sorted(comps)
+        rows = rows_of(3, 3)
+        assert rows == sorted(rows)
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
-            Composition((1, -1))
+            composition_table(-1, 2)
 
 
 class TestMultinomialProb:
     def test_split_pair(self):
         # direct factorial evaluation: 2! / (1! 1! 0!^3 * 5^2)
         direct = math.factorial(2) / (5**2)
-        assert multinomial_prob(Composition((1, 1, 0, 0, 0))) == pytest.approx(direct, rel=1e-14)
+        assert prob_of((1, 1, 0, 0, 0)) == pytest.approx(direct, rel=1e-14)
         assert direct == pytest.approx(0.08)
 
     def test_concentrated_pair(self):
-        assert multinomial_prob(Composition((2, 0, 0, 0, 0))) == pytest.approx(0.04, rel=1e-14)
+        assert prob_of((2, 0, 0, 0, 0)) == pytest.approx(0.04, rel=1e-14)
 
     @pytest.mark.parametrize("n,k", [(0, 1), (3, 2), (5, 4), (7, 3), (8, 6)])
     def test_total_probability(self, n, k):
-        total = sum(w.prob for w in weighted_compositions(n, k))
+        total = sum(composition_table(n, k)[1])
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_factorial_oracle(self):
@@ -74,25 +81,29 @@ class TestMultinomialProb:
             oracle = math.factorial(n)
             for c in counts:
                 oracle //= math.factorial(c)
-            assert multinomial_prob(Composition(counts)) == pytest.approx(
-                oracle / k**n, rel=1e-12
-            )
+            assert prob_of(counts) == pytest.approx(oracle / k**n, rel=1e-12)
 
     def test_large_populations_do_not_overflow(self):
         # 200! overflows float64 outright; the log-space path must not
         exact = math.comb(200, 100) / 2**200  # big-int arithmetic, then one division
-        assert multinomial_prob(Composition((100, 100))) == pytest.approx(exact, rel=1e-11)
-        assert multinomial_prob(Composition((170, 5, 0))) > 0.0
+        assert prob_of((100, 100)) == pytest.approx(exact, rel=1e-11)
+        assert prob_of((170, 5, 0)) > 0.0
 
 
 class TestCompositionTable:
     def test_matches_enumeration(self):
         counts, probs = composition_table(4, 3)
-        listed = enumerate_compositions(4, 3)
+        listed = sorted(c for c in itertools.product(range(5), repeat=3) if sum(c) == 4)
         assert counts.shape == (len(listed), 3)
         for row, comp, p in zip(counts, listed, probs):
-            assert tuple(row) == comp.counts
-            assert p == pytest.approx(multinomial_prob(comp), rel=1e-13)
+            assert tuple(row) == comp
+            oracle = math.factorial(4) / math.prod(math.factorial(c) for c in comp) / 3**4
+            assert p == pytest.approx(oracle, rel=1e-13)
+
+    def test_counts_are_float64(self):
+        counts, _ = composition_table(3, 4)
+        assert counts.dtype == np.float64
+        np.testing.assert_array_equal(counts, np.round(counts))
 
     def test_expected_counts_uniform(self):
         counts, probs = composition_table(6, 4)
@@ -171,8 +182,8 @@ class TestExpectedSocialWelfare:
         contract = Contract.from_arrays(q, np.zeros(3))
         gamma, w, n = 1.3, 0.7, 3
         oracle = sum(
-            w_comp.prob * social_welfare(w_comp.composition, contract, profile, gamma, w)
-            for w_comp in weighted_compositions(n, 3)
+            p * social_welfare(counts, contract, profile, gamma, w)
+            for counts, p in zip(*composition_table(n, 3))
         )
         value = expected_social_welfare(q, profile, gamma, w, n)
         assert value == pytest.approx(oracle, rel=1e-12)

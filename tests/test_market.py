@@ -5,36 +5,13 @@ from hypothesis import given, settings, strategies as st
 from energy_contracts import (
     Contract,
     ContractItem,
-    EapPhysical,
     NULL_ITEM,
-    PhysicalParams,
     TypeProfile,
     dap_utility,
     eap_utility,
-    harvested_energy,
     social_welfare,
     throughput,
-    type_of,
 )
-
-
-class TestHarvestedEnergy:
-    def test_two_chargers(self):
-        assert harvested_energy([2, 2], [0.5, 0.5], 0.5) == pytest.approx(1.0)
-
-    def test_empty_sum(self):
-        assert harvested_energy([], [], 0.5) == 0.0
-
-    def test_single_term(self):
-        assert harvested_energy([1], [1], 0.5) == pytest.approx(0.5)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="equal length"):
-            harvested_energy([1, 2], [1], 0.5)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            harvested_energy([-1], [1], 0.5)
 
 
 class TestThroughput:
@@ -140,45 +117,7 @@ class TestSocialWelfare:
         assert abs(total - split) <= 1e-12 * scale
 
 
-class TestTypeOf:
-    def test_unit(self):
-        assert type_of(EapPhysical(1.0, 1.0)) == 1.0
-
-    def test_strong_type(self):
-        assert type_of(EapPhysical(0.5, 2.0)) == pytest.approx(8.0)
-
-    def test_weak_type(self):
-        assert type_of(EapPhysical(0.1, 0.1)) == pytest.approx(0.1)
-
-    @given(g=st.floats(0.01, 10.0), a=st.floats(0.01, 10.0))
-    @settings(max_examples=100)
-    def test_scale_consistent(self, g, a):
-        base = type_of(EapPhysical(a, g))
-        scaled = type_of(EapPhysical(4.0 * a, 2.0 * g))
-        assert scaled == pytest.approx(base, rel=1e-12)
-
-
 class TestDomainTypes:
-    def test_physical_params_gamma(self):
-        params = PhysicalParams(eta=0.5, bandwidth_w=1.0, noise_n0=1e-8, dap_channel_gain=2.5e-6)
-        assert params.gamma() == pytest.approx(125.0)
-        assert params.unit_cost_c == 1.0
-
-    @pytest.mark.parametrize("eta", [0.0, 1.0, -0.1, 1.5])
-    def test_physical_params_eta_bounds(self, eta):
-        with pytest.raises(ValueError):
-            PhysicalParams(eta=eta, bandwidth_w=1.0, noise_n0=1.0, dap_channel_gain=1.0)
-
-    def test_physical_params_positive_fields(self):
-        with pytest.raises(ValueError):
-            PhysicalParams(eta=0.5, bandwidth_w=0.0, noise_n0=1.0, dap_channel_gain=1.0)
-
-    def test_eap_physical_validation(self):
-        with pytest.raises(ValueError):
-            EapPhysical(0.0, 1.0)
-        with pytest.raises(ValueError):
-            EapPhysical(1.0, -2.0)
-
     def test_type_profile_must_increase(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             TypeProfile((1.0, 1.0))

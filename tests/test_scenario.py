@@ -95,6 +95,10 @@ class TestScenarioValidation:
             {"eta": 1.5},
             {"noise_mw": 0.0},
             {"power_unit": "W"},
+            {"a_range": (1e-320, 1.0)},
+            {"d_ms_range": (0.5, 10.0)},
+            {"ref_atten_db": float("nan")},
+            {"bandwidth_hz": float("inf")},
         ],
     )
     def test_invalid_rejected(self, kwargs):

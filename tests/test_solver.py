@@ -14,6 +14,7 @@ from energy_contracts import (
     SolverConfig,
     bandwidth_mbps,
     build_type_ladder,
+    composition_table,
     expected_dap_utility,
     expected_quadratic_coefficients,
     quadratic_coefficients,
@@ -22,7 +23,6 @@ from energy_contracts import (
     reference_gamma,
     reward_recovery,
     solve,
-    weighted_compositions,
 )
 from energy_contracts import solver as solver_module
 from energy_contracts.solver import _ReducedProblem
@@ -108,8 +108,8 @@ class TestQuadraticCoefficients:
         profile = TypeProfile((0.7, 1.3, 2.9))
         for n in (1, 2, 4):
             oracle = sum(
-                w.prob * quadratic_coefficients(profile, w.composition)
-                for w in weighted_compositions(n, 3)
+                p * quadratic_coefficients(profile, counts)
+                for counts, p in zip(*composition_table(n, 3))
             )
             np.testing.assert_allclose(
                 expected_quadratic_coefficients(profile, n), oracle, rtol=1e-12
