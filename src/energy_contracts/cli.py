@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .compositions import table_rows
 from .feasibility import DEFAULT_TOL, verify_contract
 from .market import Contract, TypeProfile
 from .scenario import (
@@ -181,7 +182,14 @@ def _dataclass_from_config(cfg: dict, section: str):
 
 
 def scenario_from_config(cfg: dict) -> ScenarioConfig:
-    return _dataclass_from_config(cfg, "scenario")
+    """The scenario, refused when its composition table is over budget:
+    every command but verify solves over that table."""
+    scenario = _dataclass_from_config(cfg, "scenario")
+    try:
+        table_rows(scenario.n_eaps, scenario.k_types)
+    except ValueError as exc:
+        raise ConfigError(f"invalid scenario: {exc}") from exc
+    return scenario
 
 
 def solver_from_config(cfg: dict) -> SolverConfig:
@@ -232,6 +240,15 @@ def _contract_rows(profile: TypeProfile, contract: Contract):
         yield idx, theta, item.q, item.pi
 
 
+def _solve_record(gamma: float, result) -> dict:
+    return {
+        "gamma": float(gamma),
+        "iterations": result.iterations,
+        "kkt_residual": result.kkt_residual,
+        "converged": result.converged,
+    }
+
+
 def _resolve_gamma(cfg_value, default: float, name: str) -> float:
     """The one check for every gamma field: null takes the default derived
     from the scenario, and either value must be a positive finite number."""
@@ -266,7 +283,8 @@ def cmd_solve(cfg: dict, out_dir: Path) -> int:
     }
     _write_json(out_dir / "feasibility.json", payload)
     _write_json(out_dir / "config_echo.json", cfg)
-    _write_manifest(out_dir, "solve", cfg, ["contract.csv", "feasibility.json", "config_echo.json"])
+    record = {"solve": {"solve_results": [_solve_record(gamma, result)]}}
+    _write_manifest(out_dir, "solve", cfg, ["contract.csv", "feasibility.json", "config_echo.json"], record)
 
     if not result.converged:
         print(f"solver did not converge (residual {result.kkt_residual:g})", file=sys.stderr)
@@ -300,10 +318,7 @@ def cmd_sweep(cfg: dict, out_dir: Path) -> int:
 
     _write_csv(out_dir / "sweep.csv", SWEEP_COLUMNS, sweep.rows())
     _write_json(out_dir / "config_echo.json", cfg)
-    solve_results = [
-        {"gamma": float(g), "iterations": r.iterations, "kkt_residual": r.kkt_residual, "converged": r.converged}
-        for g, r in zip(sweep.gamma_grid, sweep.solve_results)
-    ]
+    solve_results = [_solve_record(g, r) for g, r in zip(sweep.gamma_grid, sweep.solve_results)]
     _write_manifest(
         out_dir, "sweep", cfg, ["sweep.csv", "config_echo.json"], {"sweep": {"solve_results": solve_results}}
     )

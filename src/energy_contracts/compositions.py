@@ -10,20 +10,63 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .market import LN2, TypeProfile
 
 
-def _composition_tuples(n_total: int, k_types: int) -> Iterator[tuple[int, ...]]:
-    if k_types == 1:
-        yield (n_total,)
-        return
-    for head in range(n_total + 1):
-        for tail in _composition_tuples(n_total - head, k_types - 1):
-            yield (head,) + tail
+# Largest table composition_table builds: (20, 8) has 888,030 rows, while the
+# float64 counts alone of (10, 20), 20,030,010 rows, would fill 3.2 GB.
+MAX_TABLE_ROWS = 10_000_000
+
+
+def table_rows(n_total: int, k_types: int) -> int:
+    """Row count C(N+K-1, K-1) of the composition table, checked against
+    MAX_TABLE_ROWS before anything is allocated (ValueError over it)."""
+    if k_types < 1:
+        raise ValueError(f"k_types must be at least 1, got {k_types}")
+    if n_total < 0:
+        raise ValueError(f"n_total must be nonnegative, got {n_total}")
+    rows = math.comb(n_total + k_types - 1, k_types - 1)
+    if rows > MAX_TABLE_ROWS:
+        raise ValueError(
+            f"{n_total} sellers over {k_types} types make {rows:,} count vectors, "
+            f"over the composition table's budget of {MAX_TABLE_ROWS:,} rows"
+        )
+    return rows
+
+
+def _bar_positions(n_total: int, k_types: int, rows: int) -> np.ndarray:
+    """(rows, K+1) array whose row i is 0, the K-1 bars of the i-th count
+    vector, then N.
+
+    A count vector corresponds to its prefix sums (n_1, n_1+n_2, ...), a
+    nondecreasing tuple over 0..N, and lexicographic order carries over. The
+    tuples grow one bar per level: a row whose last bar is v has children
+    v..N. Each level keeps only its last bars and parent indices, and the
+    columns are filled by walking the parents back from the last level.
+    """
+    dtype = np.min_scalar_type(n_total)
+    bars = np.empty((rows, k_types + 1), dtype=dtype)
+    bars[:, 0] = 0
+    bars[:, -1] = n_total
+    levels = [(np.arange(n_total + 1, dtype=dtype), None)]
+    for _ in range(k_types - 2):
+        last = levels[-1][0]
+        widths = n_total + 1 - last.astype(np.intp)
+        parent = np.repeat(np.arange(last.size), widths)
+        first_child = np.cumsum(widths) - widths
+        rank = np.arange(parent.size) - first_child[parent]
+        levels.append(((last[parent] + rank).astype(dtype), parent))
+    index = slice(None)
+    for column in range(k_types - 1, 0, -1):
+        last, parent = levels.pop()
+        bars[:, column] = last[index]
+        if parent is not None:
+            index = parent[index]
+    return bars
 
 
 @lru_cache(maxsize=64)
@@ -35,13 +78,10 @@ def composition_table(n_total: int, k_types: int) -> tuple[np.ndarray, np.ndarra
     The counts are float64, which holds every count exactly, so the table
     enters float products without a cast. Cached and returned read-only:
     the same table is reused across solver iterations and sweep points.
+    Tables over MAX_TABLE_ROWS rows are refused with a ValueError.
     """
-    if k_types < 1:
-        raise ValueError(f"k_types must be at least 1, got {k_types}")
-    if n_total < 0:
-        raise ValueError(f"n_total must be nonnegative, got {n_total}")
-    counts = np.array(list(_composition_tuples(n_total, k_types)), dtype=np.int64)
-    counts = counts.reshape(-1, k_types)
+    rows = table_rows(n_total, k_types)
+    counts = np.diff(_bar_positions(n_total, k_types, rows), axis=1)
     # log-factorial lookup over 0..N keeps this exact and fast for big tables
     lgamma = np.array([math.lgamma(i + 1) for i in range(n_total + 1)])
     log_probs = lgamma[n_total] - lgamma[counts].sum(axis=1) - n_total * math.log(k_types)

@@ -84,7 +84,10 @@ def channel_gain(distance_m: float, alpha: float = 2.0, ref_atten_db: float = 30
     """
     if distance_m < 1.0:
         raise ValueError(f"distance must be at least the 1 m reference, got {distance_m}")
-    return 10.0 ** (-ref_atten_db / 10.0) * distance_m ** (-alpha)
+    try:
+        return 10.0 ** (-ref_atten_db / 10.0) * distance_m ** (-alpha)
+    except OverflowError:
+        raise ValueError(f"ref_atten_db {ref_atten_db} overflows the path loss 10^(-ref/10)") from None
 
 
 def power_scale(cfg: ScenarioConfig) -> float:
@@ -102,8 +105,14 @@ def build_type_ladder(cfg: ScenarioConfig) -> TypeProfile:
     scale = power_scale(cfg)
     g_far = channel_gain(cfg.d_ms_range[1], cfg.path_loss_alpha, cfg.ref_atten_db)
     g_near = channel_gain(cfg.d_ms_range[0], cfg.path_loss_alpha, cfg.ref_atten_db)
-    theta_min = g_far**2 / cfg.a_range[1] * scale * scale
-    theta_max = g_near**2 / cfg.a_range[0] * scale * scale
+    try:
+        theta_min = g_far**2 / cfg.a_range[1] * scale * scale
+        theta_max = g_near**2 / cfg.a_range[0] * scale * scale
+    except OverflowError:
+        theta_max = math.inf
+    # theta_min <= theta_max; checked here so that linspace never sees inf
+    if not math.isfinite(theta_max):
+        raise ValueError(f"theta = G^2/a overflows: ref_atten_db {cfg.ref_atten_db} or a_range {cfg.a_range}")
     if cfg.k_types == 1:
         return TypeProfile(((theta_min + theta_max) / 2.0,))
     return TypeProfile(tuple(np.linspace(theta_min, theta_max, cfg.k_types)))

@@ -2,6 +2,7 @@ import csv
 import inspect
 import json
 import math
+import warnings
 from pathlib import Path
 
 import pytest
@@ -169,9 +170,34 @@ class TestConfigHandling:
     def test_out_of_domain_scenario_is_a_config_error(self, tmp_path, capsys, command, scenario):
         path = write_config(tmp_path, {"scenario": {"n_eaps": 2, "k_types": 5, **scenario}})
         out = tmp_path / "out"
-        assert main([command, "--config", path, "--out", str(out)]) == 1
-        assert "config error:" in capsys.readouterr().err
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, "--config", path, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config error:" in err
+        # nothing reaches stderr ahead of the config error
+        assert "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    @pytest.mark.parametrize("ref_atten_db", [-4000.0, -2000.0])
+    def test_overflowing_path_loss_names_the_field(self, tmp_path, capsys, command, ref_atten_db):
+        path = write_config(tmp_path, {"scenario": {"n_eaps": 2, "k_types": 5, "ref_atten_db": ref_atten_db}})
+        out = tmp_path / "out"
+        assert main([command, "--config", path, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config error:" in err and "ref_atten_db" in err
+        assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("command", ["solve", "sweep", "curves"])
+    def test_over_budget_table_is_a_config_error(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, {"scenario": {"n_eaps": 10, "k_types": 20}})
+        out = tmp_path / "out"
+        assert main([command, "--config", path, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config error:" in err and "20,030,010" in err
+        assert not list(out.iterdir())
 
     @pytest.mark.parametrize("command, field", [("solve", "solve.gamma"), ("sweep", "sweep.gamma_min")])
     @pytest.mark.parametrize("scenario, named", [({"eta": 0.0}, None), ({"noise_mw": math.inf}, "noise_mw")])
@@ -211,6 +237,14 @@ class TestSolveCommand:
             "feasibility.json",
         ]
         assert manifest["config_echo"]["scenario"]["k_types"] == 5
+
+    def test_manifest_records_the_solve(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["solve", "--out", str(out)]) == 0
+        (record,) = json.loads((out / "manifest.json").read_text())["solve"]["solve_results"]
+        solver = json.loads((out / "feasibility.json").read_text())["solver"]
+        assert record == {key: solver[key] for key in ("gamma", "iterations", "kkt_residual", "converged")}
+        assert record["converged"] is True and record["iterations"] >= 1
 
     def test_ten_type_run(self, tmp_path):
         out = tmp_path / "run"

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,6 +114,39 @@ class TestCompositionTable:
         counts, probs = composition_table(2, 2)
         with pytest.raises(ValueError):
             counts[0, 0] = 5
+
+
+class TestVectorisedBuild:
+    @staticmethod
+    def bar_oracle(n, k):
+        """Counts from the nondecreasing bar tuples, enumerated by itertools."""
+        # shape (rows, K-1); at K = 1 the one empty tuple gives shape (1, 0)
+        bars = np.array(list(itertools.combinations_with_replacement(range(n + 1), k - 1)), dtype=np.int64)
+        zeros = np.zeros((bars.shape[0], 1), dtype=np.int64)
+        return np.diff(np.hstack([zeros, bars, zeros + n]), axis=1)
+
+    @pytest.mark.parametrize("n, k", [(n, k) for n in range(13) for k in range(1, 7)] + [(20, 8)])
+    def test_matches_bar_enumeration(self, n, k):
+        counts, _ = composition_table(n, k)
+        oracle = self.bar_oracle(n, k)
+        assert counts.shape == oracle.shape
+        assert np.array_equal(counts, oracle)
+
+    @pytest.mark.parametrize("n, k", [(0, 1), (0, 3), (4, 1), (5, 3), (300, 3)])
+    def test_float64_and_read_only(self, n, k):
+        for array in composition_table(n, k):
+            assert array.dtype == np.float64
+            assert not array.flags.writeable
+
+    def test_over_budget_refused_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="20,030,010"):
+                composition_table(10, 20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
 
 class TestExpectedDapUtility:
