@@ -7,7 +7,7 @@ feasibility exhaustively, and benchmarks it against the full-information
 optimum and a uniform-price scheme across channel-quality sweeps.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .baselines import (
     CompleteInfoSolution,
@@ -37,7 +37,6 @@ from .feasibility import (
 from .market import (
     Contract,
     ContractItem,
-    NULL_ITEM,
     TypeProfile,
     dap_utility,
     eap_utility,

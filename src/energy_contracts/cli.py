@@ -86,10 +86,6 @@ def default_config() -> dict:
     return cfg
 
 
-# keys of the retired gradient-ascent line search: still accepted, ignored
-_DEPRECATED_FIELDS = {"solver": ("backtrack_beta", "backtrack_c")}
-
-
 def load_config(path: str | Path) -> dict:
     try:
         text = Path(path).read_text()
@@ -105,11 +101,6 @@ def load_config(path: str | Path) -> dict:
 
 
 def _merge_section(name: str, user: dict, defaults: dict, required: tuple[str, ...]) -> dict:
-    user = dict(user)
-    for key in _DEPRECATED_FIELDS.get(name, ()):
-        if key in user:
-            del user[key]
-            print(f"config: '{name}.{key}' is deprecated and ignored", file=sys.stderr)
     unknown = sorted(set(user) - set(defaults))
     if unknown:
         raise ConfigError(f"unknown field '{name}.{unknown[0]}'")
@@ -193,11 +184,7 @@ def scenario_from_config(cfg: dict) -> ScenarioConfig:
 
 
 def solver_from_config(cfg: dict) -> SolverConfig:
-    solver = _dataclass_from_config(cfg, "solver")
-    k = scenario_from_config(cfg).k_types
-    if solver.init_q is not None and len(solver.init_q) != k:
-        raise ConfigError(f"solver.init_q must hold one value per type ({k}), got {len(solver.init_q)}")
-    return solver
+    return _dataclass_from_config(cfg, "solver")
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -220,7 +207,11 @@ def _write_json(path: Path, payload: dict) -> None:
         handle.write("\n")
 
 
-def _write_manifest(out_dir: Path, command: str, cfg: dict, outputs: list[str], extra: dict | None = None) -> None:
+def _write_outputs(out_dir: Path, command: str, cfg: dict, files: dict, extra: dict) -> None:
+    """The one output step: each entry of `files` (a .csv entry is (header,
+    rows), a .json one its payload), then config_echo.json and a manifest
+    listing them. The directory is made here: a run that writes nothing leaves none."""
+    files = {**files, "config_echo.json": cfg}
     manifest = {
         "tool_version": __version__,
         "command": command,
@@ -228,11 +219,15 @@ def _write_manifest(out_dir: Path, command: str, cfg: dict, outputs: list[str], 
         "rng_algorithm": RNG_ALGORITHM,
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "config_echo": cfg,
-        "output_paths": sorted(outputs),
+        "output_paths": sorted(files),
+        **extra,
     }
-    if extra:
-        manifest.update(extra)
-    _write_json(out_dir / "manifest.json", manifest)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, content in {**files, "manifest.json": manifest}.items():
+        if name.endswith(".csv"):
+            _write_csv(out_dir / name, *content)
+        else:
+            _write_json(out_dir / name, content)
 
 
 def _contract_rows(profile: TypeProfile, contract: Contract):
@@ -257,34 +252,60 @@ def _resolve_gamma(cfg_value, default: float, name: str) -> float:
     return _positive_finite(cfg_value, name)
 
 
-def _solve_once(cfg: dict, gamma_key: str):
-    scenario = scenario_from_config(cfg)
+def _resolve(command: str, cfg: dict) -> dict:
+    """The one resolve step: check every field `command` reads, fill the nulls
+    it derives from the scenario into cfg (so config_echo.json records them),
+    and return the typed values it runs on. Nothing after this writes to cfg."""
+    run = {}
+    if command in ("solve", "verify"):
+        run["tol"] = _positive_finite(cfg["solve"]["tol"], "solve.tol")
+    if command == "verify":
+        # a contract file carries its own type ladder: no scenario is read
+        return run
+    section = cfg[command]
+    if command == "curves" and section["probe_types"] is not None:
+        probes = section["probe_types"]
+        if not isinstance(probes, list):
+            raise ConfigError(f"curves.probe_types must be a list of type indices, got {probes!r}")
+        section["probe_types"] = [_config_int(t, f"curves.probe_types[{i}]") for i, t in enumerate(probes)]
+    run["scenario"] = scenario = scenario_from_config(cfg)
+    run["solver"] = solver = solver_from_config(cfg)
+    k = scenario.k_types
+    if solver.init_q is not None and len(solver.init_q) != k:
+        raise ConfigError(f"solver.init_q must hold one value per type ({k}), got {len(solver.init_q)}")
+    if command == "sweep":
+        lo, hi = gamma_range(scenario)
+        section["gamma_min"] = gamma_min = _resolve_gamma(section["gamma_min"], lo, "sweep.gamma_min")
+        section["gamma_max"] = gamma_max = _resolve_gamma(section["gamma_max"], hi, "sweep.gamma_max")
+        section["gamma_steps"] = steps = _config_int(section["gamma_steps"], "sweep.gamma_steps")
+        if steps < 1:
+            raise ConfigError("sweep.gamma_steps must be at least 1")
+        if gamma_min > gamma_max:
+            raise ConfigError(f"invalid gamma range [{gamma_min}, {gamma_max}]")
+        return run
+    run["gamma"] = section["gamma"] = _resolve_gamma(section["gamma"], reference_gamma(scenario), f"{command}.gamma")
+    if command == "curves" and section["probe_types"] is None:
+        section["probe_types"] = list(range(1, k + 1))
+    return run
+
+
+def _solve_once(run: dict):
+    scenario = run["scenario"]
     profile = build_type_ladder(scenario)
-    gamma = _resolve_gamma(cfg[gamma_key]["gamma"], reference_gamma(scenario), f"{gamma_key}.gamma")
-    cfg[gamma_key]["gamma"] = gamma
-    result = solve(profile, gamma, bandwidth_mbps(scenario), scenario.n_eaps, solver_from_config(cfg))
-    return scenario, profile, gamma, result
+    return profile, solve(profile, run["gamma"], bandwidth_mbps(scenario), scenario.n_eaps, run["solver"])
 
 
-def cmd_solve(cfg: dict, out_dir: Path) -> int:
-    tol = _positive_finite(cfg["solve"]["tol"], "solve.tol")
-    scenario, profile, gamma, result = _solve_once(cfg, "solve")
-    report = verify_contract(result.contract, profile, tol)
-
-    _write_csv(out_dir / "contract.csv", CONTRACT_COLUMNS, _contract_rows(profile, result.contract))
+def cmd_solve(cfg: dict, run: dict, out_dir: Path, args) -> int:
+    profile, result = _solve_once(run)
+    report = verify_contract(result.contract, profile, run["tol"])
+    record = _solve_record(run["gamma"], result)
     payload = report.to_dict()
-    payload["solver"] = {
-        "gamma": gamma,
-        "objective": result.objective,
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "kkt_residual": result.kkt_residual,
-        "monotone": result.monotone,
+    payload["solver"] = {**record, "objective": result.objective, "monotone": result.monotone}
+    files = {
+        "contract.csv": (CONTRACT_COLUMNS, _contract_rows(profile, result.contract)),
+        "feasibility.json": payload,
     }
-    _write_json(out_dir / "feasibility.json", payload)
-    _write_json(out_dir / "config_echo.json", cfg)
-    record = {"solve": {"solve_results": [_solve_record(gamma, result)]}}
-    _write_manifest(out_dir, "solve", cfg, ["contract.csv", "feasibility.json", "config_echo.json"], record)
+    _write_outputs(out_dir, "solve", cfg, files, {"solve": {"solve_results": [record]}})
 
     if not result.converged:
         print(f"solver did not converge (residual {result.kkt_residual:g})", file=sys.stderr)
@@ -292,53 +313,31 @@ def cmd_solve(cfg: dict, out_dir: Path) -> int:
     if not result.monotone or not report.feasible:
         print(f"contract failed feasibility (min slack {report.min_slack:g})", file=sys.stderr)
         return EXIT_FEASIBILITY
-    print(f"solved {profile.k}-type menu at gamma={gamma:g}; objective {result.objective:.6g}")
+    print(f"solved {profile.k}-type menu at gamma={run['gamma']:g}; objective {result.objective:.6g}")
     return EXIT_OK
 
 
-def cmd_sweep(cfg: dict, out_dir: Path) -> int:
-    scenario = scenario_from_config(cfg)
-    sweep_cfg = cfg["sweep"]
-    lo, hi = gamma_range(scenario)
-    gamma_min = _resolve_gamma(sweep_cfg["gamma_min"], lo, "sweep.gamma_min")
-    gamma_max = _resolve_gamma(sweep_cfg["gamma_max"], hi, "sweep.gamma_max")
-    steps = _config_int(sweep_cfg["gamma_steps"], "sweep.gamma_steps")
-    if steps < 1:
-        raise ConfigError("sweep.gamma_steps must be at least 1")
-    if gamma_min > gamma_max:
-        raise ConfigError(f"invalid gamma range [{gamma_min}, {gamma_max}]")
-    sweep_cfg.update({"gamma_min": gamma_min, "gamma_max": gamma_max, "gamma_steps": steps})
-    grid = np.linspace(gamma_min, gamma_max, steps)
-
+def cmd_sweep(cfg: dict, run: dict, out_dir: Path, args) -> int:
+    gamma_min, gamma_max, steps = (cfg["sweep"][key] for key in ("gamma_min", "gamma_max", "gamma_steps"))
     try:
-        sweep = run_sweep(scenario, grid, solver_from_config(cfg))
+        sweep = run_sweep(run["scenario"], np.linspace(gamma_min, gamma_max, steps), run["solver"])
     except SweepError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_SOLVER
 
-    _write_csv(out_dir / "sweep.csv", SWEEP_COLUMNS, sweep.rows())
-    _write_json(out_dir / "config_echo.json", cfg)
-    solve_results = [_solve_record(g, r) for g, r in zip(sweep.gamma_grid, sweep.solve_results)]
-    _write_manifest(
-        out_dir, "sweep", cfg, ["sweep.csv", "config_echo.json"], {"sweep": {"solve_results": solve_results}}
-    )
+    records = [_solve_record(g, r) for g, r in zip(sweep.gamma_grid, sweep.solve_results)]
+    files = {"sweep.csv": (SWEEP_COLUMNS, sweep.rows())}
+    _write_outputs(out_dir, "sweep", cfg, files, {"sweep": {"solve_results": records}})
     print(f"swept {steps} gamma points over [{gamma_min:g}, {gamma_max:g}]")
     return EXIT_OK
 
 
-def cmd_curves(cfg: dict, out_dir: Path) -> int:
-    probes = cfg["curves"]["probe_types"]
-    if probes is not None:
-        if not isinstance(probes, list):
-            raise ConfigError(f"curves.probe_types must be a list of type indices, got {probes!r}")
-        probes = [_config_int(t, f"curves.probe_types[{i}]") for i, t in enumerate(probes)]
-    scenario, profile, gamma, result = _solve_once(cfg, "curves")
+def cmd_curves(cfg: dict, run: dict, out_dir: Path, args) -> int:
+    profile, result = _solve_once(run)
     if not result.converged:
         print(f"solver did not converge (residual {result.kkt_residual:g})", file=sys.stderr)
         return EXIT_SOLVER
-    if probes is None:
-        probes = list(range(1, profile.k + 1))
-    cfg["curves"]["probe_types"] = probes
+    probes = cfg["curves"]["probe_types"]
     try:
         table = utility_curves(result.contract, profile, probes)
     except ValueError as exc:
@@ -349,10 +348,11 @@ def cmd_curves(cfg: dict, out_dir: Path) -> int:
         for row_idx, probe in enumerate(probes)
         for item_idx in range(profile.k)
     ]
-    _write_csv(out_dir / "curves.csv", CURVE_COLUMNS, rows)
-    _write_csv(out_dir / "contract.csv", CONTRACT_COLUMNS, _contract_rows(profile, result.contract))
-    _write_json(out_dir / "config_echo.json", cfg)
-    _write_manifest(out_dir, "curves", cfg, ["curves.csv", "contract.csv", "config_echo.json"])
+    files = {
+        "curves.csv": (CURVE_COLUMNS, rows),
+        "contract.csv": (CONTRACT_COLUMNS, _contract_rows(profile, result.contract)),
+    }
+    _write_outputs(out_dir, "curves", cfg, files, {"curves": {"solve_results": [_solve_record(run["gamma"], result)]}})
     print(f"wrote {len(rows)} utility rows for {len(probes)} probe types")
     return EXIT_OK
 
@@ -381,17 +381,19 @@ def read_contract_csv(path: str | Path) -> tuple[TypeProfile, Contract]:
     return profile, contract
 
 
-def cmd_verify(cfg: dict, out_dir: Path, contract_path: str) -> int:
-    tol = _positive_finite(cfg["solve"]["tol"], "solve.tol")
-    profile, contract = read_contract_csv(contract_path)
-    report = verify_contract(contract, profile, tol)
-    _write_json(out_dir / "feasibility.json", report.to_dict())
-    _write_manifest(out_dir, "verify", cfg, ["feasibility.json"], {"contract_path": str(contract_path)})
+def cmd_verify(cfg: dict, run: dict, out_dir: Path, args) -> int:
+    profile, contract = read_contract_csv(args.contract)
+    report = verify_contract(contract, profile, run["tol"])
+    files = {"feasibility.json": report.to_dict()}
+    _write_outputs(out_dir, "verify", cfg, files, {"contract_path": str(args.contract)})
     if not report.feasible:
         print(f"contract infeasible (min slack {report.min_slack:g})", file=sys.stderr)
         return EXIT_FEASIBILITY
     print(f"contract feasible (min slack {report.min_slack:g})")
     return EXIT_OK
+
+
+COMMANDS = {"solve": cmd_solve, "sweep": cmd_sweep, "curves": cmd_curves, "verify": cmd_verify}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -432,22 +434,13 @@ def main(argv=None) -> int:
         cfg = resolve_config(user)
         if args.seed is not None:
             cfg["scenario"]["rng_seed"] = args.seed
-        if args.command == "sweep":
-            for key in ("gamma_min", "gamma_max", "gamma_steps"):
-                value = getattr(args, key)
-                if value is not None:
-                    cfg["sweep"][key] = value
+        for key in ("gamma_min", "gamma_max", "gamma_steps"):
+            if getattr(args, key, None) is not None:
+                cfg["sweep"][key] = getattr(args, key)
 
+        run = _resolve(args.command, cfg)
         out_dir = Path(args.out or os.environ.get(ENV_OUT_DIR) or "out")
-        out_dir.mkdir(parents=True, exist_ok=True)
-
-        if args.command == "solve":
-            return cmd_solve(cfg, out_dir)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, out_dir)
-        if args.command == "curves":
-            return cmd_curves(cfg, out_dir)
-        return cmd_verify(cfg, out_dir, args.contract)
+        return COMMANDS[args.command](cfg, run, out_dir, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

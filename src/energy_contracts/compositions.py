@@ -69,16 +69,18 @@ def _bar_positions(n_total: int, k_types: int, rows: int) -> np.ndarray:
     return bars
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)
 def composition_table(n_total: int, k_types: int) -> tuple[np.ndarray, np.ndarray]:
     """(counts matrix, probability vector): all C(N+K-1, K-1) count vectors
     of n_total sellers over k_types types, in ascending lexicographic order,
     each with its multinomial probability N! / (n_1! ... n_K! K^N).
 
     The counts are float64, which holds every count exactly, so the table
-    enters float products without a cast. Cached and returned read-only:
-    the same table is reused across solver iterations and sweep points.
-    Tables over MAX_TABLE_ROWS rows are refused with a ValueError.
+    enters float products without a cast. Returned read-only, and only the
+    last table is cached: a run reuses one (N, K) across solver iterations
+    and sweep points, and each further table kept would pin up to the
+    budget's gigabytes. Tables over MAX_TABLE_ROWS rows are refused with a
+    ValueError.
     """
     rows = table_rows(n_total, k_types)
     counts = np.diff(_bar_positions(n_total, k_types, rows), axis=1)

@@ -43,10 +43,6 @@ class TypeProfile:
     def k(self) -> int:
         return len(self.thetas)
 
-    @property
-    def type_prob(self) -> float:
-        return 1.0 / len(self.thetas)
-
     def as_array(self) -> np.ndarray:
         return np.asarray(self.thetas, dtype=float)
 
@@ -64,9 +60,6 @@ class ContractItem:
     def __post_init__(self):
         if not (0.0 <= self.q < math.inf and 0.0 <= self.pi < math.inf):
             raise ValueError(f"contract item must be nonnegative and finite, got ({self.q}, {self.pi})")
-
-
-NULL_ITEM = ContractItem(0.0, 0.0)
 
 
 @dataclass(frozen=True)

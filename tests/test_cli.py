@@ -2,13 +2,14 @@ import csv
 import inspect
 import json
 import math
+import re
 import warnings
 from pathlib import Path
 
 import pytest
 from scipy.optimize import brentq
 
-from energy_contracts import ScenarioConfig, SolverConfig, default_gamma_grid
+from energy_contracts import ScenarioConfig, SolverConfig, __version__, default_gamma_grid
 from energy_contracts.cli import (
     CONTRACT_COLUMNS,
     CURVE_COLUMNS,
@@ -74,16 +75,18 @@ class TestConfigHandling:
 
     def test_cli_exit_code_on_config_error(self, tmp_path, capsys):
         path = write_config(tmp_path, {"scenario": {"n_eaps": 2}})
-        code = main(["solve", "--config", path, "--out", str(tmp_path / "out")])
+        out = tmp_path / "out"
+        code = main(["solve", "--config", path, "--out", str(out)])
         assert code == 1
         assert "scenario.k_types" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_nan_gamma_is_a_config_error(self, tmp_path, capsys):
         path = write_config(tmp_path, {"scenario": {"n_eaps": 2, "k_types": 5}, "solve": {"gamma": math.nan}})
         out = tmp_path / "out"
         assert main(["solve", "--config", path, "--out", str(out)]) == 1
         assert "solve.gamma" in capsys.readouterr().err
-        assert not (out / "contract.csv").exists()
+        assert not out.exists()
 
     def test_infinite_gamma_max_is_a_config_error(self, tmp_path, capsys):
         path = write_config(
@@ -92,7 +95,7 @@ class TestConfigHandling:
         out = tmp_path / "out"
         assert main(["sweep", "--config", path, "--out", str(out)]) == 1
         assert "sweep.gamma_max" in capsys.readouterr().err
-        assert not (out / "sweep.csv").exists()
+        assert not out.exists()
 
     def test_nan_tol_is_a_config_error(self, tmp_path, capsys):
         path = write_config(tmp_path, {"scenario": {"n_eaps": 2, "k_types": 5}, "solve": {"tol": math.nan}})
@@ -102,11 +105,14 @@ class TestConfigHandling:
         contract = str(tmp_path / "run" / "contract.csv")
         assert main(["verify", "--config", path, "--contract", contract, "--out", str(tmp_path / "v")]) == 1
         assert "solve.tol" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists() and not (tmp_path / "v").exists()
 
     def test_nan_grad_tol_is_a_config_error(self, tmp_path, capsys):
         path = write_config(tmp_path, {"scenario": {"n_eaps": 2, "k_types": 5}, "solver": {"grad_tol": math.nan}})
-        assert main(["solve", "--config", path, "--out", str(tmp_path / "out")]) == 1
+        out = tmp_path / "out"
+        assert main(["solve", "--config", path, "--out", str(out)]) == 1
         assert "grad_tol" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command, section, key, value",
@@ -125,8 +131,10 @@ class TestConfigHandling:
         payload = {"scenario": {"n_eaps": 2, "k_types": 5}}
         payload.setdefault(section, {})[key] = value
         path = write_config(tmp_path, payload)
-        assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 1
+        out = tmp_path / "out"
+        assert main([command, "--config", path, "--out", str(out)]) == 1
         assert f"{section}.{key} must be an integer" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_integral_float_count_is_accepted(self, tmp_path):
         path = write_config(tmp_path, {"scenario": {"n_eaps": 2.0, "k_types": 5.0}})
@@ -134,19 +142,14 @@ class TestConfigHandling:
         assert main(["solve", "--config", path, "--out", str(out)]) == 0
         assert len(read_rows(out / "contract.csv")) == 5
 
-    def test_deprecated_backtrack_keys_load_with_a_notice(self, tmp_path, capsys):
-        path = write_config(
-            tmp_path,
-            {"scenario": {"n_eaps": 2, "k_types": 5}, "solver": {"backtrack_beta": 0.5, "backtrack_c": 1e-4}},
-        )
-        out = tmp_path / "out"
-        assert main(["solve", "--config", path, "--out", str(out)]) == 0
-        notices = [line for line in capsys.readouterr().err.splitlines() if "deprecated" in line]
-        assert len(notices) == 2
-        assert "solver.backtrack_beta" in notices[0] and "solver.backtrack_c" in notices[1]
-        echo = json.loads((out / "config_echo.json").read_text())
-        assert "backtrack_beta" not in echo["solver"] and "backtrack_c" not in echo["solver"]
-
+    def test_retired_backtrack_keys_are_unknown_fields(self, tmp_path, capsys):
+        # removed in 0.2.0 with the gradient-ascent line search they tuned
+        for key, value in (("backtrack_beta", 0.5), ("backtrack_c", 1e-4)):
+            path = write_config(tmp_path, {"scenario": {"n_eaps": 2, "k_types": 5}, "solver": {key: value}})
+            out = tmp_path / key
+            assert main(["solve", "--config", path, "--out", str(out)]) == 1
+            assert capsys.readouterr().err == f"config error: unknown field 'solver.{key}'\n"
+            assert not out.exists()
 
     def test_defaults_come_from_the_dataclasses(self):
         cfg = resolve_config(None)
@@ -178,7 +181,7 @@ class TestConfigHandling:
         # nothing reaches stderr ahead of the config error
         assert "RuntimeWarning" not in err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        assert not list(out.glob("*.csv"))
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["solve", "sweep"])
     @pytest.mark.parametrize("ref_atten_db", [-4000.0, -2000.0])
@@ -188,7 +191,7 @@ class TestConfigHandling:
         assert main([command, "--config", path, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert "config error:" in err and "ref_atten_db" in err
-        assert not list(out.glob("*.csv"))
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["solve", "sweep", "curves"])
     def test_over_budget_table_is_a_config_error(self, tmp_path, capsys, command):
@@ -197,7 +200,7 @@ class TestConfigHandling:
         assert main([command, "--config", path, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert "config error:" in err and "20,030,010" in err
-        assert not list(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, field", [("solve", "solve.gamma"), ("sweep", "sweep.gamma_min")])
     @pytest.mark.parametrize("scenario, named", [({"eta": 0.0}, None), ({"noise_mw": math.inf}, "noise_mw")])
@@ -207,7 +210,7 @@ class TestConfigHandling:
         assert main([command, "--config", path, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert "config error:" in err and (named or field) in err
-        assert not list(out.glob("*.csv"))
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["solve", "sweep"])
     def test_init_q_of_wrong_length_is_a_config_error(self, tmp_path, capsys, command):
@@ -215,7 +218,7 @@ class TestConfigHandling:
         out = tmp_path / "out"
         assert main([command, "--config", path, "--out", str(out)]) == 1
         assert "solver.init_q" in capsys.readouterr().err
-        assert not list(out.glob("*.csv"))
+        assert not out.exists()
 
 
 class TestSolveCommand:
@@ -348,9 +351,11 @@ class TestSweepCommand:
                 "solver": {"grad_tol": 1e-14, "max_iters": 1},
             },
         )
-        code = main(["sweep", "--config", cfg, "--out", str(tmp_path / "x"), "--gamma-steps", "2"])
+        out = tmp_path / "x"
+        code = main(["sweep", "--config", cfg, "--out", str(out), "--gamma-steps", "2"])
         assert code == 2
         assert "sweep aborted" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCurvesCommand:
@@ -393,9 +398,19 @@ class TestCurvesCommand:
             tmp_path,
             {"scenario": {"n_eaps": 2, "k_types": 5}, "curves": {"probe_types": [6]}},
         )
-        code = main(["curves", "--config", cfg, "--out", str(tmp_path / "x")])
+        out = tmp_path / "x"
+        code = main(["curves", "--config", cfg, "--out", str(out)])
         assert code == 1
         assert "probe type" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_manifest_records_the_solve(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["curves", "--out", str(out)]) == 0
+        (record,) = json.loads((out / "manifest.json").read_text())["curves"]["solve_results"]
+        assert set(record) == {"gamma", "iterations", "kkt_residual", "converged"}
+        assert record["gamma"] == json.loads((out / "config_echo.json").read_text())["curves"]["gamma"]
+        assert record["converged"] is True and record["iterations"] >= 1
 
     @pytest.mark.parametrize("probes", [["x"], 3, [math.inf], [2.7], [True]])
     def test_non_integer_probes_are_a_config_error(self, tmp_path, capsys, probes):
@@ -403,7 +418,7 @@ class TestCurvesCommand:
         out = tmp_path / "x"
         assert main(["curves", "--config", cfg, "--out", str(out)]) == 1
         assert "config error: curves.probe_types" in capsys.readouterr().err
-        assert not list(out.glob("*.csv"))
+        assert not out.exists()
 
 
 class TestVerifyCommand:
@@ -475,6 +490,15 @@ class TestRoundTrip:
         assert main(["sweep", "--config", str(out_a / "config_echo.json"), "--out", str(out_b)]) == 0
         assert (out_a / "sweep.csv").read_bytes() == (out_b / "sweep.csv").read_bytes()
 
+    def test_curves_echo_reproduces_outputs(self, tmp_path):
+        cfg = write_config(tmp_path, {"scenario": {"n_eaps": 3, "k_types": 4}, "curves": {"probe_types": [2, 4.0]}})
+        out_a = tmp_path / "a"
+        assert main(["curves", "--config", cfg, "--out", str(out_a)]) == 0
+        out_b = tmp_path / "b"
+        assert main(["curves", "--config", str(out_a / "config_echo.json"), "--out", str(out_b)]) == 0
+        assert (out_a / "curves.csv").read_bytes() == (out_b / "curves.csv").read_bytes()
+        assert (out_a / "contract.csv").read_bytes() == (out_b / "contract.csv").read_bytes()
+
     def test_seed_override_lands_in_manifest(self, tmp_path):
         out = tmp_path / "run"
         assert main(["solve", "--out", str(out), "--seed", "99"]) == 0
@@ -489,3 +513,26 @@ class TestRoundTrip:
         for row in rows:
             value = float(row["q"])
             assert repr(value) == row["q"]  # round-trip exact
+
+
+class TestOutputFiles:
+    @pytest.mark.parametrize("command", ["solve", "sweep", "curves", "verify"])
+    def test_directory_holds_exactly_the_manifest_outputs(self, tmp_path, command):
+        args = [command, "--gamma-steps", "2"] if command == "sweep" else [command]
+        if command == "verify":
+            assert main(["solve", "--out", str(tmp_path / "run")]) == 0
+            args += ["--contract", str(tmp_path / "run" / "contract.csv")]
+        out = tmp_path / "out"
+        assert main(args + ["--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == command
+        assert "config_echo.json" in manifest["output_paths"]
+        assert {path.name for path in out.iterdir()} == {*manifest["output_paths"], "manifest.json"}
+        assert json.loads((out / "config_echo.json").read_text()) == manifest["config_echo"]
+
+
+def test_version_matches_pyproject():
+    # a regex, not tomllib, which Python 3.10 lacks
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    (version,) = re.findall(r'^version = "([^"]+)"$', pyproject, flags=re.MULTILINE)
+    assert version == __version__

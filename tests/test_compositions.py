@@ -1,6 +1,8 @@
+import gc
 import itertools
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -114,6 +116,13 @@ class TestCompositionTable:
         counts, probs = composition_table(2, 2)
         with pytest.raises(ValueError):
             counts[0, 0] = 5
+
+    def test_cache_keeps_one_table(self):
+        held = weakref.ref(composition_table(7, 3)[0])
+        assert held() is not None
+        composition_table(8, 3)
+        gc.collect()
+        assert held() is None
 
 
 class TestVectorisedBuild:

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from energy_contracts import (
     Contract,
     ContractItem,
-    NULL_ITEM,
     TypeProfile,
     dap_utility,
     eap_utility,
@@ -51,11 +50,11 @@ class TestEapUtility:
         assert eap_utility(ContractItem(2.0, 2.5), 2.0) == pytest.approx(0.5)
 
     def test_null_item(self):
-        assert eap_utility(NULL_ITEM, 3.7) == 0.0
+        assert eap_utility(ContractItem(0.0, 0.0), 3.7) == 0.0
 
     def test_bad_theta(self):
         with pytest.raises(ValueError):
-            eap_utility(NULL_ITEM, 0.0)
+            eap_utility(ContractItem(0.0, 0.0), 0.0)
 
 
 class TestDapUtility:
@@ -125,10 +124,6 @@ class TestDomainTypes:
             TypeProfile((2.0, 1.0))
         with pytest.raises(ValueError):
             TypeProfile(())
-
-    def test_type_profile_prob(self):
-        assert TypeProfile((1.0, 2.0, 3.0, 4.0)).type_prob == 0.25
-        assert TypeProfile((1.0,)).type_prob == 1.0
 
     def test_contract_item_nonnegative(self):
         with pytest.raises(ValueError):
