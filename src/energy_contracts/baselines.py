@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compositions import composition_table
+from .compositions import composition_table, table_blocks
 from .market import LN2, TypeProfile
 
 _NEWTON_MAX_ITERS = 100
@@ -31,8 +31,8 @@ def _t_distribution(profile: TypeProfile, n_total: int) -> tuple[np.ndarray, np.
         for _ in range(n_total):
             pmf = np.convolve(pmf, np.full(k, 1.0 / k))
         return n_total * thetas[0] + delta * np.arange(pmf.size), pmf
-    counts, probs = composition_table(n_total, k)
-    return counts @ thetas, probs
+    table = composition_table(n_total, k)
+    return np.concatenate([counts @ thetas for counts, _ in table_blocks(table)]), table[1]
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ from .scenario import (
     SweepError,
     bandwidth_mbps,
     build_type_ladder,
+    check_probe_types,
     gamma_range,
     reference_gamma,
     run_sweep,
@@ -263,11 +264,6 @@ def _resolve(command: str, cfg: dict) -> dict:
         # a contract file carries its own type ladder: no scenario is read
         return run
     section = cfg[command]
-    if command == "curves" and section["probe_types"] is not None:
-        probes = section["probe_types"]
-        if not isinstance(probes, list):
-            raise ConfigError(f"curves.probe_types must be a list of type indices, got {probes!r}")
-        section["probe_types"] = [_config_int(t, f"curves.probe_types[{i}]") for i, t in enumerate(probes)]
     run["scenario"] = scenario = scenario_from_config(cfg)
     run["solver"] = solver = solver_from_config(cfg)
     k = scenario.k_types
@@ -284,8 +280,15 @@ def _resolve(command: str, cfg: dict) -> dict:
             raise ConfigError(f"invalid gamma range [{gamma_min}, {gamma_max}]")
         return run
     run["gamma"] = section["gamma"] = _resolve_gamma(section["gamma"], reference_gamma(scenario), f"{command}.gamma")
-    if command == "curves" and section["probe_types"] is None:
-        section["probe_types"] = list(range(1, k + 1))
+    if command == "curves":
+        probes = list(range(1, k + 1)) if section["probe_types"] is None else section["probe_types"]
+        if not isinstance(probes, list):
+            raise ConfigError(f"curves.probe_types must be a list of type indices, got {probes!r}")
+        probes = [_config_int(t, f"curves.probe_types[{i}]") for i, t in enumerate(probes)]
+        try:
+            section["probe_types"] = check_probe_types(probes, k)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     return run
 
 
@@ -338,10 +341,7 @@ def cmd_curves(cfg: dict, run: dict, out_dir: Path, args) -> int:
         print(f"solver did not converge (residual {result.kkt_residual:g})", file=sys.stderr)
         return EXIT_SOLVER
     probes = cfg["curves"]["probe_types"]
-    try:
-        table = utility_curves(result.contract, profile, probes)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    table = utility_curves(result.contract, profile, probes)
 
     rows = [
         (probe, item_idx + 1, table[row_idx, item_idx])

@@ -17,9 +17,9 @@ import numpy as np
 from .market import LN2, TypeProfile
 
 
-# Largest table composition_table builds: (20, 8) has 888,030 rows, while the
-# float64 counts alone of (10, 20), 20,030,010 rows, would fill 3.2 GB.
+# Largest table composition_table builds: (20, 8) has 888,030 rows; (10, 20), 20,030,010, would take 560 MB.
 MAX_TABLE_ROWS = 10_000_000
+_BLOCK_ROWS = 4096  # rows per table_blocks block; bounds each pass's temporaries to rows x K
 
 
 def table_rows(n_total: int, k_types: int) -> int:
@@ -75,23 +75,35 @@ def composition_table(n_total: int, k_types: int) -> tuple[np.ndarray, np.ndarra
     of n_total sellers over k_types types, in ascending lexicographic order,
     each with its multinomial probability N! / (n_1! ... n_K! K^N).
 
-    The counts are float64, which holds every count exactly, so the table
-    enters float products without a cast. Returned read-only, and only the
-    last table is cached: a run reuses one (N, K) across solver iterations
-    and sweep points, and each further table kept would pin up to the
-    budget's gigabytes. Tables over MAX_TABLE_ROWS rows are refused with a
-    ValueError.
+    The counts are in the narrowest unsigned integer that holds N (uint8 up
+    to N=255): widen them, as table_blocks does, before any arithmetic whose
+    result can exceed N. Returned read-only, and only the last table is
+    cached: a run reuses one (N, K), and each further table kept would pin up
+    to the budget's hundreds of megabytes. Tables over MAX_TABLE_ROWS rows
+    are refused with a ValueError.
     """
     rows = table_rows(n_total, k_types)
     counts = np.diff(_bar_positions(n_total, k_types, rows), axis=1)
-    # log-factorial lookup over 0..N keeps this exact and fast for big tables
+    # log-factorial lookup over 0..N, gathered block by block: no (rows, K) float64 array is formed
     lgamma = np.array([math.lgamma(i + 1) for i in range(n_total + 1)])
-    log_probs = lgamma[n_total] - lgamma[counts].sum(axis=1) - n_total * math.log(k_types)
-    probs = np.exp(log_probs)
-    counts = counts.astype(np.float64)
+    chunks = (counts[lo : lo + _BLOCK_ROWS] for lo in range(0, rows, _BLOCK_ROWS))
+    log_denom = np.concatenate([lgamma[chunk].sum(axis=1) for chunk in chunks])
+    probs = np.exp(lgamma[n_total] - log_denom - n_total * math.log(k_types))
     counts.setflags(write=False)
     probs.setflags(write=False)
     return counts, probs
+
+
+def table_blocks(table: tuple[np.ndarray, np.ndarray]):
+    """Yield a composition_table pair as (counts, probs) blocks of _BLOCK_ROWS rows, the counts
+    widened to float64: the one pass of every expectation. Each counts block is written into one
+    reused buffer, so it is valid only until the next one is yielded."""
+    counts, probs = table
+    wide = np.empty((min(_BLOCK_ROWS, counts.shape[0]), counts.shape[1]))
+    for lo in range(0, counts.shape[0], _BLOCK_ROWS):
+        block = wide[: min(_BLOCK_ROWS, counts.shape[0] - lo)]
+        block[...] = counts[lo : lo + _BLOCK_ROWS]
+        yield block, probs[lo : lo + _BLOCK_ROWS]
 
 
 def expected_dap_utility(
@@ -115,9 +127,8 @@ def expected_dap_utility(
         raise ValueError(
             f"q and pi must have length {profile.k}, got {q.size} and {pi.size}"
         )
-    counts, probs = composition_table(n_total, profile.k)
-    rate = bandwidth_w * np.log2(1.0 + gamma * (counts @ q))
-    return float(probs @ (rate - counts @ pi))
+    blocks = table_blocks(composition_table(n_total, profile.k))
+    return float(sum(probs @ (bandwidth_w * np.log2(1.0 + gamma * (c @ q)) - c @ pi) for c, probs in blocks))
 
 
 def expected_social_welfare(
@@ -134,7 +145,5 @@ def expected_social_welfare(
     q = np.asarray(q, dtype=float)
     if q.size != profile.k:
         raise ValueError(f"q must have length {profile.k}, got {q.size}")
-    counts, probs = composition_table(n_total, profile.k)
-    rate = bandwidth_w * np.log1p(gamma * (counts @ q)) / LN2
-    cost = counts @ (q * q / profile.as_array())
-    return float(probs @ (rate - cost))
+    blocks, unit_cost = table_blocks(composition_table(n_total, profile.k)), q * q / profile.as_array()
+    return float(sum(probs @ (bandwidth_w * np.log1p(gamma * (c @ q)) / LN2 - c @ unit_cost) for c, probs in blocks))

@@ -9,7 +9,7 @@ expectation sums with a seeded Monte Carlo estimator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -188,10 +188,10 @@ def run_sweep(
 ) -> SweepResult:
     """Solve all three mechanisms at every grid point.
 
-    Grid points must be positive. Each solve after the first starts from the
-    previous point's q. Any non-converged or non-monotone solve, or a
-    nonempty market whose first-best welfare underflows to zero, aborts the
-    sweep with the failing gamma reported.
+    Grid points must be positive. Every solve starts from its own mean-field
+    point, or from solver_cfg.init_q when set. Any non-converged or
+    non-monotone solve, or a nonempty market whose first-best welfare
+    underflows to zero, aborts the sweep with the failing gamma reported.
     """
     grid = default_gamma_grid(cfg) if gamma_grid is None else np.asarray(gamma_grid, dtype=float)
     if grid.size == 0 or grid.min() <= 0.0:
@@ -204,7 +204,6 @@ def run_sweep(
     complete_w = np.empty(grid.size)
     linear_w = np.empty(grid.size)
     results: list[SolveResult] = []
-    solver_cfg = solver_cfg or SolverConfig()
     for i, gamma in enumerate(grid):
         res = solve(profile, gamma, w, n, solver_cfg)
         if not res.converged:
@@ -212,8 +211,6 @@ def run_sweep(
         if not res.monotone:
             raise SweepError(gamma, "recovered menu is not monotone")
         results.append(res)
-        if n > 0:
-            solver_cfg = replace(solver_cfg, init_q=tuple(res.contract.qs))
         contract_w[i] = expected_social_welfare(res.contract.qs, profile, gamma, w, n)
         complete_w[i] = baselines.expected_complete_info_welfare(profile, gamma, w, n)
         if n > 0 and not complete_w[i] > 0.0:
@@ -237,16 +234,21 @@ def run_sweep(
     )
 
 
+def check_probe_types(probe_types, k: int) -> list[int]:
+    """The 1-based probe types as ints; ValueError for one outside 1..k."""
+    for t in probe_types:
+        if not 1 <= int(t) <= k:
+            raise ValueError(f"probe type {t} outside 1..{k}")
+    return [int(t) for t in probe_types]
+
+
 def utility_curves(contract: Contract, profile: TypeProfile, probe_types) -> np.ndarray:
     """Utility table behind the self-reveal plots.
 
     Row t (for 1-based probe type t) holds pi_j - q_j^2/theta_t across all
     menu items j; a feasible menu peaks each row at its own index.
     """
-    probes = [int(t) for t in probe_types]
-    for t in probes:
-        if not 1 <= t <= profile.k:
-            raise ValueError(f"probe type {t} outside 1..{profile.k}")
+    probes = check_probe_types(probe_types, profile.k)
     q = contract.qs
     pi = contract.pis
     thetas = profile.as_array()

@@ -17,11 +17,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .compositions import composition_table
+from .compositions import composition_table, table_blocks
 from .market import LN2, Contract, TypeProfile
 
 _MONO_RTOL = 1e-9
-_BLOCK_ROWS = 4096  # table rows per Hessian block; bounds the temporary to rows x K
 _ARMIJO_C = 1e-4  # sufficient-increase constant of the line search
 _TO_BOUNDARY = 0.995  # a cut step travels this fraction of the way to q_k = 0
 _RESOLUTION = 1e-13  # relative float resolution of the objective's two parts
@@ -35,7 +34,7 @@ class SolverConfig:
 
     grad_tol:  stop when the gradient norm falls below this (and the Newton step is negligible)
     max_iters: hard iteration cap
-    init_q:    optional positive starting point; defaults to a small positive vector
+    init_q:    optional positive starting point; defaults to the mean-field point
     """
 
     grad_tol: float = 1e-8
@@ -124,43 +123,35 @@ def expected_quadratic_coefficients(profile: TypeProfile, n_total: int) -> np.nd
 
 
 class _ReducedProblem:
-    """Expected-utility objective in q alone, with the count table built once.
-
-    Every pass takes s = counts @ q, so a caller that already holds s (the
-    solver's accepted line-search candidate) does not recompute it.
-    """
+    """Expected-utility objective in q alone, over one composition table."""
 
     def __init__(self, profile: TypeProfile, gamma: float, bandwidth_w: float, n_total: int):
-        self.counts, self.probs = composition_table(n_total, profile.k)
+        self.table = composition_table(n_total, profile.k)
         self.exp_d = expected_quadratic_coefficients(profile, n_total)
         self.gamma = gamma
         self.w = bandwidth_w
 
-    def parts(self, q: np.ndarray, s: np.ndarray) -> tuple[float, float]:
+    def parts(self, q: np.ndarray) -> tuple[float, float]:
         """(rate, quad): the objective is rate - quad."""
-        rate = self.w * float(self.probs @ np.log1p(self.gamma * s)) / LN2
-        return rate, float(self.exp_d @ (q * q))
+        rate = sum(probs @ np.log1p(self.gamma * (counts @ q)) for counts, probs in table_blocks(self.table))
+        return self.w * float(rate) / LN2, float(self.exp_d @ (q * q))
 
-    def newton_system(self, q: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Gradient and Hessian in one pass over the table, with a = gamma / (1 + gamma s):
+    def newton_system(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Gradient and Hessian in one pass over the table, with a = gamma / (1 + gamma n.q):
 
             grad = (W / ln 2) C^T (Phi a) - 2 E[D] q
             hess = -(W / ln 2) C^T diag(Phi a^2) C - 2 diag(E[D])
 
-        Folding gamma into a keeps both finite at any finite gamma. The
-        Hessian is summed over fixed row blocks, so no table-sized weighted
-        copy of C is ever formed.
+        Folding gamma into a keeps both finite at any finite gamma.
         """
-        slope = self.gamma / (1.0 + self.gamma * s)
-        u = self.probs * slope
-        curv = u * slope
         k = q.size
         cu = np.zeros(k)
         cwc = np.zeros((k, k))
-        for lo in range(0, self.counts.shape[0], _BLOCK_ROWS):
-            block = self.counts[lo : lo + _BLOCK_ROWS]
-            cu += block.T @ u[lo : lo + _BLOCK_ROWS]
-            cwc += block.T @ (block * curv[lo : lo + _BLOCK_ROWS, None])
+        for counts, probs in table_blocks(self.table):
+            slope = self.gamma / (1.0 + self.gamma * (counts @ q))
+            u = probs * slope
+            cu += counts.T @ u
+            cwc += counts.T @ (counts * (u * slope)[:, None])
         grad = (self.w / LN2) * cu - 2.0 * self.exp_d * q
         hess = -(self.w / LN2) * cwc
         hess[np.diag_indices(k)] -= 2.0 * self.exp_d
@@ -183,8 +174,7 @@ def reduced_objective(
         raise ValueError(f"q must have length {profile.k}, got {q.size}")
     if q.size and q.min() < 0.0:
         raise ValueError("q must be nonnegative")
-    problem = _ReducedProblem(profile, gamma, bandwidth_w, n_total)
-    rate, quad = problem.parts(q, problem.counts @ q)
+    rate, quad = _ReducedProblem(profile, gamma, bandwidth_w, n_total).parts(q)
     return rate - quad
 
 
@@ -198,8 +188,7 @@ def reduced_gradient(
     q = np.asarray(q, dtype=float)
     if q.size != profile.k:
         raise ValueError(f"q must have length {profile.k}, got {q.size}")
-    problem = _ReducedProblem(profile, gamma, bandwidth_w, n_total)
-    return problem.newton_system(q, problem.counts @ q)[0]
+    return _ReducedProblem(profile, gamma, bandwidth_w, n_total).newton_system(q)[0]
 
 
 def _is_nondecreasing(values: np.ndarray) -> bool:
@@ -243,19 +232,20 @@ def solve(
             raise ValueError(f"init_q must have length {k}, got {len(cfg.init_q)}")
         q = np.asarray(cfg.init_q, dtype=float)
     else:
-        q = np.full(k, 1e-3)
+        # mean-field start alpha cap: cap_k = (W gamma/ln 2)(N/K)/(2 E[D_k]) bounds the maximizer, is it as gamma -> 0;
+        # alpha = 2/(1 + sqrt(1 + 4x)), x = gamma (N/K) sum cap, is divided through by 2 gamma: x overflows near 1e289
+        cap_per_gamma = (bandwidth_w / LN2) * (n_total / k) / (2.0 * problem.exp_d)
+        half_inv = 0.5 / float(gamma)
+        q = cap_per_gamma / (half_inv + math.hypot(half_inv, math.sqrt((n_total / k) * float(cap_per_gamma.sum()))))
 
-    s = problem.counts @ q
-    rate, quad = problem.parts(q, s)
-    residual = math.inf
+    rate, quad = problem.parts(q)
     converged = False
-    iterations = 0
-
     for iterations in range(cfg.max_iters + 1):
-        grad, hess = problem.newton_system(q, s)
+        grad, hess = problem.newton_system(q)
         residual = float(np.linalg.norm(grad))
         step = np.linalg.solve(-hess, grad)
-        if residual <= cfg.grad_tol and np.all(np.abs(step) <= _STEP_RTOL * q):
+        # an infinite rate (gamma n.q overflowed) is no optimum, whatever the gradient says
+        if residual <= cfg.grad_tol and np.all(np.abs(step) <= _STEP_RTOL * q) and math.isfinite(rate):
             converged = True
             break
         if iterations == cfg.max_iters:
@@ -266,13 +256,12 @@ def solve(
         resolved = 0.5 * decrement <= _RESOLUTION * (abs(rate) + abs(quad))
         while True:
             candidate = q + t * step
-            s_cand = problem.counts @ candidate
-            rate_cand, quad_cand = problem.parts(candidate, s_cand)
+            rate_cand, quad_cand = problem.parts(candidate)
             gain = (rate_cand - quad_cand) - (rate - quad)
             if resolved or gain >= _ARMIJO_C * t * decrement or t < _MIN_STEP:
                 break
             t *= 0.5
-        q, s, rate, quad = candidate, s_cand, rate_cand, quad_cand
+        q, rate, quad = candidate, rate_cand, quad_cand
 
     pi = reward_recovery(q, profile)
     contract = Contract.from_arrays(q, pi)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from scipy.optimize import brentq
 
-from energy_contracts import ScenarioConfig, SolverConfig, __version__, default_gamma_grid
+from energy_contracts import ScenarioConfig, SolverConfig, __version__, cli, default_gamma_grid
 from energy_contracts.cli import (
     CONTRACT_COLUMNS,
     CURVE_COLUMNS,
@@ -352,7 +352,9 @@ class TestSweepCommand:
             },
         )
         out = tmp_path / "x"
-        code = main(["sweep", "--config", cfg, "--out", str(out), "--gamma-steps", "2"])
+        # 10^2 and 10^4 times the reference gamma 0.125 take 3 and 5 iterations from the mean-field start
+        args = ["--gamma-min", "12.5", "--gamma-max", "1250", "--gamma-steps", "2"]
+        code = main(["sweep", "--config", cfg, "--out", str(out), *args])
         assert code == 2
         assert "sweep aborted" in capsys.readouterr().err
         assert not out.exists()
@@ -402,6 +404,17 @@ class TestCurvesCommand:
         code = main(["curves", "--config", cfg, "--out", str(out)])
         assert code == 1
         assert "probe type" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_probe_out_of_range_refused_before_the_solve(self, tmp_path, capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("curves solved before checking its probe types")
+
+        monkeypatch.setattr(cli, "solve", no_solve)
+        cfg = write_config(tmp_path, {"scenario": {"n_eaps": 20, "k_types": 8}, "curves": {"probe_types": [9]}})
+        out = tmp_path / "x"
+        assert main(["curves", "--config", cfg, "--out", str(out)]) == 1
+        assert "probe type 9 outside 1..8" in capsys.readouterr().err
         assert not out.exists()
 
     def test_manifest_records_the_solve(self, tmp_path):

@@ -103,10 +103,11 @@ class TestCompositionTable:
             oracle = math.factorial(4) / math.prod(math.factorial(c) for c in comp) / 3**4
             assert p == pytest.approx(oracle, rel=1e-13)
 
-    def test_counts_are_float64(self):
-        counts, _ = composition_table(3, 4)
-        assert counts.dtype == np.float64
-        np.testing.assert_array_equal(counts, np.round(counts))
+    def test_counts_are_narrow_integers(self):
+        # the narrowest unsigned integer that holds N
+        assert composition_table(3, 4)[0].dtype == np.uint8
+        assert composition_table(255, 2)[0].dtype == np.uint8
+        assert composition_table(256, 2)[0].dtype == np.uint16
 
     def test_expected_counts_uniform(self):
         counts, probs = composition_table(6, 4)
@@ -143,8 +144,11 @@ class TestVectorisedBuild:
 
     @pytest.mark.parametrize("n, k", [(0, 1), (0, 3), (4, 1), (5, 3), (300, 3)])
     def test_float64_and_read_only(self, n, k):
-        for array in composition_table(n, k):
-            assert array.dtype == np.float64
+        # float64 probabilities; counts in uint8, or uint16 once N exceeds 255
+        counts, probs = composition_table(n, k)
+        assert counts.dtype == (np.uint16 if n > 255 else np.uint8)
+        assert probs.dtype == np.float64
+        for array in (counts, probs):
             assert not array.flags.writeable
 
     def test_over_budget_refused_before_allocating(self):

@@ -209,11 +209,24 @@ class TestRunSweep:
         np.testing.assert_array_equal(sweep.normalized_linear, np.ones(2))
 
     def test_solver_failure_aborts_with_gamma(self):
+        # from the mean-field start, 10^2 times the reference takes 3 iterations
         cfg = ScenarioConfig()
+        grid = np.array([1e2, 1e3, 1e4]) * reference_gamma(cfg)
         starved = SolverConfig(grad_tol=1e-14, max_iters=1)
         with pytest.raises(SweepError) as excinfo:
-            run_sweep(cfg, default_gamma_grid(cfg, 3), starved)
-        assert excinfo.value.gamma == pytest.approx(default_gamma_grid(cfg, 3)[0])
+            run_sweep(cfg, grid, starved)
+        assert excinfo.value.gamma == pytest.approx(grid[0])
+
+    def test_points_solve_independently(self):
+        # every point starts from its own mean-field point, so its menu is solve's to the bit
+        cfg = ScenarioConfig()
+        grid = default_gamma_grid(cfg, 3)
+        sweep = run_sweep(cfg, grid)
+        profile = build_type_ladder(cfg)
+        for gamma, res in zip(grid, sweep.solve_results):
+            alone = solve(profile, gamma, bandwidth_mbps(cfg), cfg.n_eaps)
+            np.testing.assert_array_equal(res.contract.qs, alone.contract.qs)
+            np.testing.assert_array_equal(res.contract.pis, alone.contract.pis)
 
 
 @pytest.fixture(scope="module")

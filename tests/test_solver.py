@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -24,7 +25,7 @@ from energy_contracts import (
     reward_recovery,
     solve,
 )
-from energy_contracts import solver as solver_module
+from energy_contracts import compositions as compositions_module
 from energy_contracts.solver import _ReducedProblem
 
 LN2 = math.log(2.0)
@@ -177,7 +178,9 @@ class TestReducedHessian:
             problem = _ReducedProblem(profile, gamma, w, n)
             for _ in range(5):
                 q = rng.uniform(0.1, 2.0, size=k)
-                hess = problem.newton_system(q, problem.counts @ q)[1]
+                # (4, 5) has 70 rows: blocks of 64 leave a partial last block
+                with mock.patch.object(compositions_module, "_BLOCK_ROWS", 64):
+                    hess = problem.newton_system(q)[1]
                 np.testing.assert_allclose(hess, hess.T, rtol=1e-14)
                 for i in range(k):
                     h = 1e-6 * max(1.0, abs(q[i]))
@@ -194,13 +197,20 @@ class TestReducedHessian:
         profile = TypeProfile((0.5, 1.0, 1.5, 2.0, 2.5))
         problem = _ReducedProblem(profile, 3.0, 1.0, 6)
         q = np.linspace(0.2, 1.0, 5)
-        s = problem.counts @ q
-        weights = problem.probs / (1.0 + 3.0 * s) ** 2
-        full = -(3.0**2 / LN2) * (problem.counts.T @ (problem.counts * weights[:, None]))
-        full -= np.diag(2.0 * problem.exp_d)
-        with mock.patch.object(solver_module, "_BLOCK_ROWS", 64):
-            blocked = problem.newton_system(q, s)[1]
-        np.testing.assert_allclose(blocked, full, rtol=1e-13)
+        counts, probs = composition_table(6, 5)
+        counts = counts.astype(np.float64)
+        s = counts @ q
+        rate = float(probs @ np.log1p(3.0 * s)) / LN2
+        grad = (3.0 / LN2) * (counts.T @ (probs / (1.0 + 3.0 * s))) - 2.0 * problem.exp_d * q
+        weights = probs / (1.0 + 3.0 * s) ** 2
+        hess = -(3.0**2 / LN2) * (counts.T @ (counts * weights[:, None]))
+        hess -= np.diag(2.0 * problem.exp_d)
+        with mock.patch.object(compositions_module, "_BLOCK_ROWS", 64):
+            blocked_rate = problem.parts(q)[0]
+            blocked_grad, blocked_hess = problem.newton_system(q)
+        assert blocked_rate == pytest.approx(rate, rel=1e-13)
+        np.testing.assert_allclose(blocked_grad, grad, rtol=1e-13)
+        np.testing.assert_allclose(blocked_hess, hess, rtol=1e-13)
 
 
 class TestSolve:
@@ -246,7 +256,7 @@ class TestSolve:
         assert res.objective == 0.0
         np.testing.assert_array_equal(res.contract.qs, np.zeros(2))
 
-    @pytest.mark.parametrize("multiple", [1.0, 1e2, 1e4, 1e6])
+    @pytest.mark.parametrize("multiple", [1.0, 1e2, 1e4, 1e6, 1e10, 1e50, 1e290])
     def test_converges_across_saturation(self, multiple):
         cfg = ScenarioConfig(n_eaps=5, k_types=6)
         res = solve(build_type_ladder(cfg), multiple * reference_gamma(cfg), bandwidth_mbps(cfg), 5)
@@ -266,9 +276,37 @@ class TestSolve:
         np.testing.assert_allclose(res.contract.qs, [float(r["q"]) for r in rows], rtol=1e-6)
         np.testing.assert_allclose(res.contract.pis, [float(r["pi"]) for r in rows], rtol=1e-6)
 
+    @pytest.mark.parametrize("multiple", [1e-150, 1e-300])
+    def test_tiny_gamma_converges_at_the_start(self, multiple):
+        # as gamma -> 0 the mean-field start is the maximizer; from q = 1e-3
+        # these took 62 and 127 iterations
+        cfg = ScenarioConfig()
+        res = solve(build_type_ladder(cfg), multiple * reference_gamma(cfg), bandwidth_mbps(cfg), 2)
+        assert res.converged
+        assert res.iterations == 0
+        assert res.contract.qs.min() > 0.0
+
+    def test_underflowing_gamma_gives_the_null_menu(self):
+        # in mW the maximizer at the smallest subnormal gamma underflows to 0, as does the start
+        cfg = ScenarioConfig(power_unit="mW")
+        res = solve(build_type_ladder(cfg), 5e-324, bandwidth_mbps(cfg), 2)
+        assert res.converged
+        np.testing.assert_array_equal(res.contract.qs, np.zeros(5))
+        np.testing.assert_array_equal(res.contract.pis, np.zeros(5))
+
+    def test_overflowing_rate_is_not_converged(self):
+        # at gamma 1e308 and W = 1000, gamma n.q overflows at the mean-field start: the
+        # rate is infinite and its gradient vanishes, which is no optimum
+        cfg = ScenarioConfig(bandwidth_hz=1e9)
+        with np.errstate(over="ignore"):
+            res = solve(build_type_ladder(cfg), 1e308, bandwidth_mbps(cfg), 2, SolverConfig(max_iters=50))
+        assert not res.converged
+
     def test_iteration_cap_flags_nonconvergence(self):
+        # N=3, K=2 at 10^4 times the reference takes 6 iterations from the mean-field start
+        scenario = ScenarioConfig(n_eaps=3, k_types=2)
         cfg = SolverConfig(grad_tol=1e-14, max_iters=1)
-        res = solve(TypeProfile((1.0,)), 1.0, 1.0, 1, cfg)
+        res = solve(build_type_ladder(scenario), 1e4 * reference_gamma(scenario), bandwidth_mbps(scenario), 3, cfg)
         assert not res.converged
         assert res.iterations == 1
 
@@ -281,6 +319,27 @@ class TestSolve:
         res_a = solve(profile, 1.2, 1.0, 2)
         res_b = solve(profile, 1.2, 1.0, 2, SolverConfig(init_q=(0.9, 0.9, 0.9)))
         np.testing.assert_allclose(res_a.contract.qs, res_b.contract.qs, atol=1e-7)
+
+
+class TestMemory:
+    def test_compact_table_and_block_sized_solve(self):
+        # N=20, K=8: a float64 table held 63.9 MB, and a solve over it peaked
+        # 28.8 MB above it with its row-sized float64 temporaries
+        cfg = ScenarioConfig(n_eaps=20, k_types=8)
+        profile = build_type_ladder(cfg)
+        composition_table.cache_clear()
+        tracemalloc.start()
+        try:
+            composition_table(20, 8)
+            held, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            res = solve(profile, reference_gamma(cfg), bandwidth_mbps(cfg), 20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.converged
+        assert held < 16e6
+        assert peak - held < 2e6
 
 
 class TestSolverConfig:
