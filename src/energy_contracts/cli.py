@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .compositions import table_rows
+from .compositions import table_nbytes, table_rows
 from .feasibility import DEFAULT_TOL, verify_contract
 from .market import Contract, TypeProfile
 from .scenario import (
@@ -266,7 +266,8 @@ def _resolve(command: str, cfg: dict) -> dict:
     section = cfg[command]
     run["scenario"] = scenario = scenario_from_config(cfg)
     run["solver"] = solver = solver_from_config(cfg)
-    k = scenario.k_types
+    n, k = scenario.n_eaps, scenario.k_types
+    run["table"] = {"rows": table_rows(n, k), "bytes": table_nbytes(n, k)}
     if solver.init_q is not None and len(solver.init_q) != k:
         raise ConfigError(f"solver.init_q must hold one value per type ({k}), got {len(solver.init_q)}")
     if command == "sweep":
@@ -308,7 +309,7 @@ def cmd_solve(cfg: dict, run: dict, out_dir: Path, args) -> int:
         "contract.csv": (CONTRACT_COLUMNS, _contract_rows(profile, result.contract)),
         "feasibility.json": payload,
     }
-    _write_outputs(out_dir, "solve", cfg, files, {"solve": {"solve_results": [record]}})
+    _write_outputs(out_dir, "solve", cfg, files, {"solve": {"solve_results": [record]}, "table": run["table"]})
 
     if not result.converged:
         print(f"solver did not converge (residual {result.kkt_residual:g})", file=sys.stderr)
@@ -330,7 +331,7 @@ def cmd_sweep(cfg: dict, run: dict, out_dir: Path, args) -> int:
 
     records = [_solve_record(g, r) for g, r in zip(sweep.gamma_grid, sweep.solve_results)]
     files = {"sweep.csv": (SWEEP_COLUMNS, sweep.rows())}
-    _write_outputs(out_dir, "sweep", cfg, files, {"sweep": {"solve_results": records}})
+    _write_outputs(out_dir, "sweep", cfg, files, {"sweep": {"solve_results": records}, "table": run["table"]})
     print(f"swept {steps} gamma points over [{gamma_min:g}, {gamma_max:g}]")
     return EXIT_OK
 
@@ -352,7 +353,8 @@ def cmd_curves(cfg: dict, run: dict, out_dir: Path, args) -> int:
         "curves.csv": (CURVE_COLUMNS, rows),
         "contract.csv": (CONTRACT_COLUMNS, _contract_rows(profile, result.contract)),
     }
-    _write_outputs(out_dir, "curves", cfg, files, {"curves": {"solve_results": [_solve_record(run["gamma"], result)]}})
+    extra = {"curves": {"solve_results": [_solve_record(run["gamma"], result)]}, "table": run["table"]}
+    _write_outputs(out_dir, "curves", cfg, files, extra)
     print(f"wrote {len(rows)} utility rows for {len(probes)} probe types")
     return EXIT_OK
 

@@ -4,6 +4,8 @@ weights, plus the expectation sums built on top of them.
 With N sellers and K types the collector only knows the distribution, so its
 objective averages over all C(N+K-1, K-1) count vectors. Enumeration is exact
 and deterministic (ascending lexicographic order) so sums are bit-reproducible.
+The table is written column by column into its final array, in the narrowest
+unsigned integer that holds N: no table-sized intp or float64 array is formed.
 """
 
 from __future__ import annotations
@@ -38,57 +40,53 @@ def table_rows(n_total: int, k_types: int) -> int:
     return rows
 
 
-def _bar_positions(n_total: int, k_types: int, rows: int) -> np.ndarray:
-    """(rows, K+1) array whose row i is 0, the K-1 bars of the i-th count
-    vector, then N.
+def table_nbytes(n_total: int, k_types: int) -> int:
+    """Bytes composition_table holds, without building it: K narrow counts and a float64 per row."""
+    return table_rows(n_total, k_types) * (k_types * np.min_scalar_type(n_total).itemsize + 8)
 
-    A count vector corresponds to its prefix sums (n_1, n_1+n_2, ...), a
-    nondecreasing tuple over 0..N, and lexicographic order carries over. The
-    tuples grow one bar per level: a row whose last bar is v has children
-    v..N. Each level keeps only its last bars and parent indices, and the
-    columns are filled by walking the parents back from the last level.
-    """
+
+def _counts(n_total: int, k_types: int, rows: int) -> np.ndarray:
+    """(rows, K) count vectors, column by column. Level j lists each prefix (n_1..n_j) by its last
+    value and what it leaves, s; a prefix leaving s has children ending in the ramp 0..s. A cumsum
+    over ones lays a level's ramps end to end, each ramp's first cell taking back the previous top:
+    it wraps in the counts' own type, exactly, as no value exceeds N. Only level-sized arrays are intp."""
     dtype = np.min_scalar_type(n_total)
-    bars = np.empty((rows, k_types + 1), dtype=dtype)
-    bars[:, 0] = 0
-    bars[:, -1] = n_total
-    levels = [(np.arange(n_total + 1, dtype=dtype), None)]
-    for _ in range(k_types - 2):
-        last = levels[-1][0]
-        widths = n_total + 1 - last.astype(np.intp)
-        parent = np.repeat(np.arange(last.size), widths)
-        first_child = np.cumsum(widths) - widths
-        rank = np.arange(parent.size) - first_child[parent]
-        levels.append(((last[parent] + rank).astype(dtype), parent))
-    index = slice(None)
-    for column in range(k_types - 1, 0, -1):
-        last, parent = levels.pop()
-        bars[:, column] = last[index]
-        if parent is not None:
-            index = parent[index]
-    return bars
+    counts = np.empty((rows, k_types), dtype=dtype)
+    rest = np.array([n_total], dtype=dtype)
+    for column in range(k_types - 1):
+        widths = rest.astype(np.intp) + 1
+        last = column == k_types - 2  # column K-1 is the last level's ramps as they are
+        values = counts[:, column] if last else np.empty(widths.sum(), dtype)
+        values[...] = 1
+        values[0] = 0
+        values[np.cumsum(widths[:-1])] = -rest[:-1]
+        np.cumsum(values, dtype=dtype, out=values)
+        rest = np.repeat(rest, widths) - values
+        if not last:  # each value repeats for the C(s+K-j-1, s) rows below it
+            below = np.array([math.comb(s + k_types - 2 - column, s) for s in range(n_total + 1)])
+            counts[:, column] = np.repeat(values, below[rest])
+    counts[:, -1] = rest
+    return counts
 
 
 @lru_cache(maxsize=1)
 def composition_table(n_total: int, k_types: int) -> tuple[np.ndarray, np.ndarray]:
-    """(counts matrix, probability vector): all C(N+K-1, K-1) count vectors
-    of n_total sellers over k_types types, in ascending lexicographic order,
-    each with its multinomial probability N! / (n_1! ... n_K! K^N).
+    """(counts matrix, probability vector): all C(N+K-1, K-1) count vectors of n_total sellers
+    over k_types types, in ascending lexicographic order, each with its multinomial probability
+    N! / (n_1! ... n_K! K^N).
 
-    The counts are in the narrowest unsigned integer that holds N (uint8 up
-    to N=255): widen them, as table_blocks does, before any arithmetic whose
-    result can exceed N. Returned read-only, and only the last table is
-    cached: a run reuses one (N, K), and each further table kept would pin up
-    to the budget's hundreds of megabytes. Tables over MAX_TABLE_ROWS rows
-    are refused with a ValueError.
-    """
+    The counts are in the narrowest unsigned integer that holds N (uint8 up to N=255): widen
+    them, as table_blocks does, before any arithmetic whose result can exceed N. Returned
+    read-only, and only the last table is cached: a run reuses one (N, K), and each further
+    table kept would pin up to the budget's hundreds of megabytes. Tables over MAX_TABLE_ROWS
+    rows are refused with a ValueError."""
     rows = table_rows(n_total, k_types)
-    counts = np.diff(_bar_positions(n_total, k_types, rows), axis=1)
-    # log-factorial lookup over 0..N, gathered block by block: no (rows, K) float64 array is formed
+    counts = _counts(n_total, k_types, rows)
+    # log-factorial sums and exp block by block into probs: no rows-sized temporary beyond the table
     lgamma = np.array([math.lgamma(i + 1) for i in range(n_total + 1)])
-    chunks = (counts[lo : lo + _BLOCK_ROWS] for lo in range(0, rows, _BLOCK_ROWS))
-    log_denom = np.concatenate([lgamma[chunk].sum(axis=1) for chunk in chunks])
-    probs = np.exp(lgamma[n_total] - log_denom - n_total * math.log(k_types))
+    probs = np.empty(rows)
+    for block in (slice(lo, lo + _BLOCK_ROWS) for lo in range(0, rows, _BLOCK_ROWS)):
+        np.exp(lgamma[n_total] - lgamma[counts[block]].sum(axis=1) - n_total * math.log(k_types), out=probs[block])
     counts.setflags(write=False)
     probs.setflags(write=False)
     return counts, probs

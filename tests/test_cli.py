@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from scipy.optimize import brentq
 
-from energy_contracts import ScenarioConfig, SolverConfig, __version__, cli, default_gamma_grid
+from energy_contracts import ScenarioConfig, SolverConfig, __version__, cli, composition_table, default_gamma_grid
 from energy_contracts.cli import (
     CONTRACT_COLUMNS,
     CURVE_COLUMNS,
@@ -542,6 +542,20 @@ class TestOutputFiles:
         assert "config_echo.json" in manifest["output_paths"]
         assert {path.name for path in out.iterdir()} == {*manifest["output_paths"], "manifest.json"}
         assert json.loads((out / "config_echo.json").read_text()) == manifest["config_echo"]
+
+    @pytest.mark.parametrize("command", ["solve", "sweep", "curves"])
+    def test_manifest_records_the_table(self, tmp_path, command):
+        # N=3, K=4: C(6, 3) = 20 rows of 4 uint8 counts and one float64 probability
+        cfg = write_config(tmp_path, {"scenario": {"n_eaps": 3, "k_types": 4}})
+        args = [command, "--gamma-steps", "2"] if command == "sweep" else [command]
+        out = tmp_path / "out"
+        composition_table.cache_clear()
+        assert main(args + ["--config", cfg, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["table"] == {"rows": 20, "bytes": 20 * (4 + 8)}
+        # the record is computed, not read from a second table lookup
+        if command != "sweep":
+            assert composition_table.cache_info().hits == 0
 
 
 def test_version_matches_pyproject():

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from energy_contracts import (
     TypeProfile,
     composition_table,
+    compositions,
     expected_dap_utility,
     expected_social_welfare,
     social_welfare,
@@ -108,6 +109,8 @@ class TestCompositionTable:
         assert composition_table(3, 4)[0].dtype == np.uint8
         assert composition_table(255, 2)[0].dtype == np.uint8
         assert composition_table(256, 2)[0].dtype == np.uint16
+        assert composition_table(65_535, 2)[0].dtype == np.uint16
+        assert composition_table(65_536, 2)[0].dtype == np.uint32
 
     def test_expected_counts_uniform(self):
         counts, probs = composition_table(6, 4)
@@ -135,7 +138,12 @@ class TestVectorisedBuild:
         zeros = np.zeros((bars.shape[0], 1), dtype=np.int64)
         return np.diff(np.hstack([zeros, bars, zeros + n]), axis=1)
 
-    @pytest.mark.parametrize("n, k", [(n, k) for n in range(13) for k in range(1, 7)] + [(20, 8)])
+    # past N=12: the next-to-last column's wrapping cumsum at each dtype boundary
+    @pytest.mark.parametrize(
+        "n, k",
+        [(n, k) for n in range(13) for k in range(1, 7)]
+        + [(20, 8), (255, 3), (256, 3), (300, 3), (65_535, 2), (70_000, 2)],
+    )
     def test_matches_bar_enumeration(self, n, k):
         counts, _ = composition_table(n, k)
         oracle = self.bar_oracle(n, k)
@@ -150,6 +158,23 @@ class TestVectorisedBuild:
         assert probs.dtype == np.float64
         for array in (counts, probs):
             assert not array.flags.writeable
+
+    def test_cold_build_peaks_at_the_table(self):
+        # N=20, K=8 holds 14.2 MB; a rows-sized intp index array alone would add 7.1 MB to the peak
+        composition_table.cache_clear()
+        tracemalloc.start()
+        try:
+            counts, probs = composition_table(20, 8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= counts.nbytes + probs.nbytes + 5e6
+
+    @pytest.mark.parametrize("n, k", [(20, 8), (10, 10), (300, 3), (0, 1), (70_000, 2)])
+    def test_nbytes_without_building(self, n, k):
+        nbytes = compositions.table_nbytes(n, k)
+        counts, probs = composition_table(n, k)
+        assert nbytes == counts.nbytes + probs.nbytes
 
     def test_over_budget_refused_before_allocating(self):
         tracemalloc.start()
