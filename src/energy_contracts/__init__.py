@@ -15,7 +15,6 @@ from .baselines import (
     complete_info_contract,
     complete_info_lambda,
     expected_complete_info_welfare,
-    linear_dap_utility_derivative,
     linear_expected_dap_utility,
     linear_expected_social_welfare,
     linear_pricing_optimize,
@@ -62,7 +61,6 @@ from .solver import (
     SolverConfig,
     expected_quadratic_coefficients,
     quadratic_coefficients,
-    reduced_gradient,
     reduced_objective,
     reward_recovery,
     solve,

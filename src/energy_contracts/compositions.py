@@ -1,5 +1,6 @@
 """Exact enumeration of seller-type count vectors and their multinomial
-weights, plus the expectation sums built on top of them.
+weights, plus the expectation sums built on top of them: rate_terms is the one
+the solver and the welfare use; expected_dap_utility stays as an oracle.
 
 With N sellers and K types the collector only knows the distribution, so its
 objective averages over all C(N+K-1, K-1) count vectors. Enumeration is exact
@@ -104,6 +105,33 @@ def table_blocks(table: tuple[np.ndarray, np.ndarray]):
         yield block, probs[lo : lo + _BLOCK_ROWS]
 
 
+def per_type(values: Sequence[float], profile: TypeProfile, name: str = "q") -> np.ndarray:
+    """values as a float array, one entry per type of the ladder (ValueError otherwise)."""
+    array = np.asarray(values, dtype=float)
+    if array.size != profile.k:
+        raise ValueError(f"{name} must have length {profile.k}, got {array.size}")
+    return array
+
+
+def rate_terms(table: tuple[np.ndarray, np.ndarray], q: np.ndarray, gamma: float, derivatives: bool = False):
+    """The one expectation over the count vectors, in one table_blocks pass over a composition_table
+    pair: E[log1p(gamma n.q)], or with derivatives=True the gradient and Hessian terms
+
+        E[a n] and E[a^2 n n^T],   a = gamma / (1 + gamma n.q),
+
+    gamma folded into a so that both stay finite at any finite gamma."""
+    if not derivatives:
+        return float(sum(probs @ np.log1p(gamma * (counts @ q)) for counts, probs in table_blocks(table)))
+    grad = np.zeros(q.size)
+    hess = np.zeros((q.size, q.size))
+    for counts, probs in table_blocks(table):
+        slope = gamma / (1.0 + gamma * (counts @ q))
+        u = probs * slope
+        grad += counts.T @ u
+        hess += counts.T @ (counts * (u * slope)[:, None])
+    return grad, hess
+
+
 def expected_dap_utility(
     q: Sequence[float],
     pi: Sequence[float],
@@ -117,14 +145,10 @@ def expected_dap_utility(
         sum over count vectors n of  Phi(n) * [W log2(1 + gamma n.q) - n.pi]
 
     The reward part collapses to -(N/K) * sum_k pi_k because each expected
-    count is N/K; the enumerated sum is kept as the literal definition.
+    count is N/K; the enumerated sum is kept as the literal definition, an
+    oracle independent of rate_terms.
     """
-    q = np.asarray(q, dtype=float)
-    pi = np.asarray(pi, dtype=float)
-    if q.size != profile.k or pi.size != profile.k:
-        raise ValueError(
-            f"q and pi must have length {profile.k}, got {q.size} and {pi.size}"
-        )
+    q, pi = per_type(q, profile), per_type(pi, profile, "pi")
     blocks = table_blocks(composition_table(n_total, profile.k))
     return float(sum(probs @ (bandwidth_w * np.log2(1.0 + gamma * (c @ q)) - c @ pi) for c, probs in blocks))
 
@@ -138,10 +162,10 @@ def expected_social_welfare(
 ) -> float:
     """Expected total surplus of a menu: rewards cancel, energy costs remain.
 
-    sum over count vectors n of  Phi(n) * [W log2(1 + gamma n.q) - n.(q^2/theta)]
+        E[W log2(1 + gamma n.q)] - (N/K) sum_k q_k^2/theta_k
+
+    The cost is linear in the counts, so its expectation is exact with E[n_k] = N/K.
     """
-    q = np.asarray(q, dtype=float)
-    if q.size != profile.k:
-        raise ValueError(f"q must have length {profile.k}, got {q.size}")
-    blocks, unit_cost = table_blocks(composition_table(n_total, profile.k)), q * q / profile.as_array()
-    return float(sum(probs @ (bandwidth_w * np.log1p(gamma * (c @ q)) / LN2 - c @ unit_cost) for c, probs in blocks))
+    q = per_type(q, profile)
+    rate = rate_terms(composition_table(n_total, profile.k), q, gamma)
+    return bandwidth_w * rate / LN2 - n_total / profile.k * float(q @ (q / profile.as_array()))

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .compositions import composition_table, table_blocks
+from .compositions import composition_table, per_type, rate_terms
 from .market import LN2, Contract, TypeProfile
 
 _MONO_RTOL = 1e-9
@@ -133,28 +133,18 @@ class _ReducedProblem:
 
     def parts(self, q: np.ndarray) -> tuple[float, float]:
         """(rate, quad): the objective is rate - quad."""
-        rate = sum(probs @ np.log1p(self.gamma * (counts @ q)) for counts, probs in table_blocks(self.table))
-        return self.w * float(rate) / LN2, float(self.exp_d @ (q * q))
+        return self.w * rate_terms(self.table, q, self.gamma) / LN2, float(self.exp_d @ (q * q))
 
     def newton_system(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Gradient and Hessian in one pass over the table, with a = gamma / (1 + gamma n.q):
 
-            grad = (W / ln 2) C^T (Phi a) - 2 E[D] q
-            hess = -(W / ln 2) C^T diag(Phi a^2) C - 2 diag(E[D])
-
-        Folding gamma into a keeps both finite at any finite gamma.
+            grad = (W / ln 2) E[a n] - 2 E[D] q
+            hess = -(W / ln 2) E[a^2 n n^T] - 2 diag(E[D])
         """
-        k = q.size
-        cu = np.zeros(k)
-        cwc = np.zeros((k, k))
-        for counts, probs in table_blocks(self.table):
-            slope = self.gamma / (1.0 + self.gamma * (counts @ q))
-            u = probs * slope
-            cu += counts.T @ u
-            cwc += counts.T @ (counts * (u * slope)[:, None])
+        cu, cwc = rate_terms(self.table, q, self.gamma, derivatives=True)
         grad = (self.w / LN2) * cu - 2.0 * self.exp_d * q
         hess = -(self.w / LN2) * cwc
-        hess[np.diag_indices(k)] -= 2.0 * self.exp_d
+        hess[np.diag_indices(q.size)] -= 2.0 * self.exp_d
         return grad, hess
 
 
@@ -169,26 +159,11 @@ def reduced_objective(
     so its expectation is exact in closed form. Equals
     expected_dap_utility(q, reward_recovery(q), ...) for every q >= 0.
     """
-    q = np.asarray(q, dtype=float)
-    if q.size != profile.k:
-        raise ValueError(f"q must have length {profile.k}, got {q.size}")
+    q = per_type(q, profile)
     if q.size and q.min() < 0.0:
         raise ValueError("q must be nonnegative")
     rate, quad = _ReducedProblem(profile, gamma, bandwidth_w, n_total).parts(q)
     return rate - quad
-
-
-def reduced_gradient(
-    q: Sequence[float], profile: TypeProfile, gamma: float, bandwidth_w: float, n_total: int
-) -> np.ndarray:
-    """Analytic gradient of reduced_objective:
-
-        d/dq_k = sum_n Phi(n) (W gamma / ln 2) n_k / (1 + gamma n.q) - 2 E[D_k] q_k
-    """
-    q = np.asarray(q, dtype=float)
-    if q.size != profile.k:
-        raise ValueError(f"q must have length {profile.k}, got {q.size}")
-    return _ReducedProblem(profile, gamma, bandwidth_w, n_total).newton_system(q)[0]
 
 
 def _is_nondecreasing(values: np.ndarray) -> bool:
@@ -228,9 +203,7 @@ def solve(
 
     problem = _ReducedProblem(profile, gamma, bandwidth_w, n_total)
     if cfg.init_q is not None:
-        if len(cfg.init_q) != k:
-            raise ValueError(f"init_q must have length {k}, got {len(cfg.init_q)}")
-        q = np.asarray(cfg.init_q, dtype=float)
+        q = per_type(cfg.init_q, profile, "init_q")
     else:
         # mean-field start alpha cap: cap_k = (W gamma/ln 2)(N/K)/(2 E[D_k]) bounds the maximizer, is it as gamma -> 0;
         # alpha = 2/(1 + sqrt(1 + 4x)), x = gamma (N/K) sum cap, is divided through by 2 gamma: x overflows near 1e289

@@ -25,7 +25,6 @@ from energy_contracts import (
     expected_dap_utility,
     expected_social_welfare,
     monte_carlo_expected_welfare,
-    reduced_gradient,
     reduced_objective,
     reference_gamma,
     reward_recovery,
@@ -34,6 +33,7 @@ from energy_contracts import (
     utility_curves,
 )
 from energy_contracts.cli import main as cli_main
+from energy_contracts.solver import _ReducedProblem
 from helpers import random_local_ic_contract
 
 LN2 = math.log(2.0)
@@ -243,7 +243,7 @@ class TestCriterion06SolverOptimality:
             profile = TypeProfile(tuple(np.cumsum(rng.uniform(0.2, 1.0, k)) + 0.3))
             gamma, w = rng.uniform(0.3, 2.0), rng.uniform(0.5, 2.0)
             q = rng.uniform(0.05, 2.0, size=k)
-            grad = reduced_gradient(q, profile, gamma, w, n)
+            grad = _ReducedProblem(profile, gamma, w, n).newton_system(q)[0]
             for i in range(k):
                 h = 1e-6 * max(1.0, abs(q[i]))
                 up, down = q.copy(), q.copy()

@@ -16,7 +16,6 @@ from energy_contracts import (
     composition_table,
     expected_complete_info_welfare,
     expected_social_welfare,
-    linear_dap_utility_derivative,
     linear_expected_dap_utility,
     linear_expected_social_welfare,
     linear_pricing_optimize,
@@ -28,7 +27,25 @@ from energy_contracts import (
 LN2 = math.log(2.0)
 
 
+def price_slope(price, profile, gamma, w, n):
+    """Central difference of linear_expected_dap_utility at a positive price."""
+    h = 1e-6 * price
+    up = linear_expected_dap_utility(price + h, profile, gamma, w, n)
+    return (up - linear_expected_dap_utility(price - h, profile, gamma, w, n)) / (2.0 * h)
+
+
 class TestTDistribution:
+    @pytest.mark.parametrize("n,k", [(1, 1), (2, 5), (10, 10), (20, 8), (300, 3), (1000, 100)])
+    def test_fft_pmf_matches_convolution(self, n, k):
+        profile = build_type_ladder(ScenarioConfig(n_eaps=n, k_types=k))
+        pmf = np.ones(1)
+        for _ in range(n):  # the N-fold convolution of the uniform pmf on {0..K-1}
+            pmf = np.convolve(pmf, np.full(k, 1.0 / k))
+        _, p_atoms = baselines._t_distribution(profile, n)
+        assert p_atoms.shape == pmf.shape
+        assert np.abs(p_atoms - pmf).max() <= 1e-14
+        assert p_atoms.min() >= 0.0  # the transform's negative tails are clipped
+
     @pytest.mark.parametrize("n,k", [(0, 3), (1, 1), (2, 5), (10, 10)])
     def test_lattice_matches_table(self, n, k):
         profile = build_type_ladder(ScenarioConfig(n_eaps=n, k_types=k))
@@ -175,19 +192,23 @@ class TestLinearPricing:
         for gamma in (0.125, 0.8, 3.0):
             profile = TypeProfile((0.5, 1.0, 2.0))
             sol = linear_pricing_optimize(profile, gamma, 1.0, 2)
-            assert abs(linear_dap_utility_derivative(sol.price, profile, gamma, 1.0, 2)) <= 1e-6
+            assert abs(price_slope(sol.price, profile, gamma, 1.0, 2)) <= 1e-6
 
     def test_price_zeroes_derivative_across_saturation(self):
         cfg = ScenarioConfig()
         profile = build_type_ladder(cfg)
         w, n = bandwidth_mbps(cfg), cfg.n_eaps
         mean_t = n / profile.k * profile.as_array().sum()
+        counts, probs = composition_table(n, profile.k)
+        t_rows = counts @ profile.as_array()
         for factor in np.logspace(-10, 9, 20):
             gamma = factor * reference_gamma(cfg)
             c = w * gamma / LN2
             price = linear_pricing_optimize(profile, gamma, w, n).price
             assert 0.0 < price <= c / 2.0 * (1.0 + 1e-15)  # the root tends to c/2 as gamma -> 0
-            slope = linear_dap_utility_derivative(price, profile, gamma, w, n)
+            assert abs(price_slope(price, profile, gamma, w, n)) <= 1e-6 * (c / 2.0) * mean_t
+            # the first-order condition summed over the table's rows, to the Newton stop's precision
+            slope = (c / 2.0) * (probs @ (t_rows / (1.0 + gamma * (price / 2.0) * t_rows))) - price * mean_t
             assert abs(slope) <= 1e-12 * (c / 2.0) * mean_t
 
     def test_newton_cap_raises(self, monkeypatch):

@@ -558,6 +558,43 @@ class TestOutputFiles:
             assert composition_table.cache_info().hits == 0
 
 
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads"
+
+
+def table_lookups(argv: list[str]) -> tuple[int, int]:
+    """(misses, hits) of composition_table's cache over one CLI run from a cleared cache."""
+    composition_table.cache_clear()
+    assert main(argv) == 0
+    info = composition_table.cache_info()
+    return info.misses, info.hits
+
+
+class TestTableLookups:
+    """The lookups bench/run.py's traced runs depend on. They read compositions.cache_hit_ratio
+    from composition_table's cache_info(), and each workload's idle list says which metrics read
+    exactly 0: a hit on a solve or any lookup by verify fails every traced op. ROADMAP item 1
+    moves these metrics onto a recorder; until then this pattern is pinned here."""
+
+    @pytest.fixture(scope="class")
+    def solve_large(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("solve-large")
+        lookups = table_lookups(["solve", "--config", str(WORKLOADS / "solve-large.json"), "--out", str(out)])
+        return lookups, out / "contract.csv"
+
+    def test_solve_looks_the_table_up_once(self, solve_large):
+        assert solve_large[0] == (1, 0)
+
+    def test_sweep_builds_one_table_and_reuses_it(self, tmp_path):
+        config = str(WORKLOADS / "sweep-mid.json")
+        misses, hits = table_lookups(["sweep", "--config", config, "--out", str(tmp_path)])
+        assert misses == 1 and hits >= 1
+
+    def test_verify_looks_no_table_up(self, solve_large, tmp_path):
+        config = str(WORKLOADS / "solve-large.json")
+        argv = ["verify", "--config", config, "--contract", str(solve_large[1]), "--out", str(tmp_path)]
+        assert table_lookups(argv) == (0, 0)
+
+
 def test_version_matches_pyproject():
     # a regex, not tomllib, which Python 3.10 lacks
     pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()

@@ -243,6 +243,26 @@ class TestExpectedDapUtility:
             assert expected_dap_utility(q, bumped, profile, 1.0, 1.0, 2) < base
 
 
+class TestRateTerms:
+    """rate_terms is the one expectation on the solver's path; whatever computes it must match
+    these whole-table sums."""
+
+    @pytest.mark.parametrize(
+        "n,k,gamma", [(1, 1, 1.0), (2, 5, 0.125), (6, 5, 3.0), (10, 3, 40.0), (5, 6, 1e-300), (5, 6, 1e290)]
+    )
+    def test_matches_whole_table_sums(self, monkeypatch, n, k, gamma):
+        q = np.linspace(0.2, 1.0, k)
+        table = composition_table(n, k)
+        counts, probs = table[0].astype(np.float64), table[1]
+        s = counts @ q
+        a = gamma / (1.0 + gamma * s)
+        monkeypatch.setattr(compositions, "_BLOCK_ROWS", 64)  # (6, 5) has 210 rows: a partial last block
+        assert compositions.rate_terms(table, q, gamma) == pytest.approx(probs @ np.log1p(gamma * s), rel=1e-12)
+        grad, hess = compositions.rate_terms(table, q, gamma, derivatives=True)
+        np.testing.assert_allclose(grad, counts.T @ (probs * a), rtol=1e-12)
+        np.testing.assert_allclose(hess, counts.T @ (counts * (probs * a * a)[:, None]), rtol=1e-12)
+
+
 class TestExpectedSocialWelfare:
     def test_no_trade(self):
         profile = TypeProfile((1.0, 2.0))

@@ -19,7 +19,6 @@ from energy_contracts import (
     expected_dap_utility,
     expected_quadratic_coefficients,
     quadratic_coefficients,
-    reduced_gradient,
     reduced_objective,
     reference_gamma,
     reward_recovery,
@@ -146,7 +145,7 @@ class TestReducedObjective:
 class TestReducedGradient:
     def test_value_at_origin(self):
         profile = TypeProfile((1.0,))
-        grad = reduced_gradient([0.0], profile, 1.0, 1.0, 1)
+        grad = _ReducedProblem(profile, 1.0, 1.0, 1).newton_system(np.zeros(1))[0]
         assert grad[0] == pytest.approx(1.0 / LN2, rel=1e-14)
 
     def test_finite_difference_match(self):
@@ -156,7 +155,7 @@ class TestReducedGradient:
             gamma, w = rng.uniform(0.3, 2.0), rng.uniform(0.5, 2.0)
             for _ in range(5):
                 q = rng.uniform(0.1, 2.0, size=k)
-                grad = reduced_gradient(q, profile, gamma, w, n)
+                grad = _ReducedProblem(profile, gamma, w, n).newton_system(q)[0]
                 for i in range(k):
                     h = 1e-6 * max(1.0, abs(q[i]))
                     up, down = q.copy(), q.copy()
@@ -188,7 +187,7 @@ class TestReducedHessian:
                     up[i] += h
                     down[i] -= h
                     fd = (
-                        reduced_gradient(up, profile, gamma, w, n) - reduced_gradient(down, profile, gamma, w, n)
+                        problem.newton_system(up)[0] - problem.newton_system(down)[0]
                     ) / (2 * h)
                     np.testing.assert_allclose(hess[:, i], fd, rtol=1e-5, atol=1e-9 * np.abs(hess).max())
 
