@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .compositions import table_nbytes, table_rows
+from .compositions import split_nbytes, table_rows
 from .feasibility import DEFAULT_TOL, verify_contract
 from .market import Contract, TypeProfile
 from .scenario import (
@@ -174,8 +174,8 @@ def _dataclass_from_config(cfg: dict, section: str):
 
 
 def scenario_from_config(cfg: dict) -> ScenarioConfig:
-    """The scenario, refused when its composition table is over budget:
-    every command but verify solves over that table."""
+    """The scenario, refused when its count vectors are over the table budget:
+    every command but verify sums over them."""
     scenario = _dataclass_from_config(cfg, "scenario")
     try:
         table_rows(scenario.n_eaps, scenario.k_types)
@@ -267,7 +267,7 @@ def _resolve(command: str, cfg: dict) -> dict:
     run["scenario"] = scenario = scenario_from_config(cfg)
     run["solver"] = solver = solver_from_config(cfg)
     n, k = scenario.n_eaps, scenario.k_types
-    run["table"] = {"rows": table_rows(n, k), "bytes": table_nbytes(n, k)}
+    run["table"] = {"rows": table_rows(n, k), "bytes": split_nbytes(n, k)}
     if solver.init_q is not None and len(solver.init_q) != k:
         raise ConfigError(f"solver.init_q must hold one value per type ({k}), got {len(solver.init_q)}")
     if command == "sweep":

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .compositions import composition_table, per_type, rate_terms
+from .compositions import per_type, rate_terms, split_table
 from .market import LN2, Contract, TypeProfile
 
 _MONO_RTOL = 1e-9
@@ -123,25 +123,25 @@ def expected_quadratic_coefficients(profile: TypeProfile, n_total: int) -> np.nd
 
 
 class _ReducedProblem:
-    """Expected-utility objective in q alone, over one composition table."""
+    """Expected-utility objective in q alone, over one split table."""
 
     def __init__(self, profile: TypeProfile, gamma: float, bandwidth_w: float, n_total: int):
-        self.table = composition_table(n_total, profile.k)
+        self.split = split_table(n_total, profile.k)
         self.exp_d = expected_quadratic_coefficients(profile, n_total)
         self.gamma = gamma
         self.w = bandwidth_w
 
     def parts(self, q: np.ndarray) -> tuple[float, float]:
         """(rate, quad): the objective is rate - quad."""
-        return self.w * rate_terms(self.table, q, self.gamma) / LN2, float(self.exp_d @ (q * q))
+        return self.w * rate_terms(self.split, q, self.gamma) / LN2, float(self.exp_d @ (q * q))
 
     def newton_system(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Gradient and Hessian in one pass over the table, with a = gamma / (1 + gamma n.q):
+        """Gradient and Hessian in one pass over the split table, with a = gamma / (1 + gamma n.q):
 
             grad = (W / ln 2) E[a n] - 2 E[D] q
             hess = -(W / ln 2) E[a^2 n n^T] - 2 diag(E[D])
         """
-        cu, cwc = rate_terms(self.table, q, self.gamma, derivatives=True)
+        cu, cwc = rate_terms(self.split, q, self.gamma, derivatives=True)
         grad = (self.w / LN2) * cu - 2.0 * self.exp_d * q
         hess = -(self.w / LN2) * cwc
         hess[np.diag_indices(q.size)] -= 2.0 * self.exp_d

@@ -545,14 +545,15 @@ class TestOutputFiles:
 
     @pytest.mark.parametrize("command", ["solve", "sweep", "curves"])
     def test_manifest_records_the_table(self, tmp_path, command):
-        # N=3, K=4: C(6, 3) = 20 rows of 4 uint8 counts and one float64 probability
+        # N=3, K=4: C(6, 3) = 20 count vectors, summed over a split table read from composition_table(3, 3):
+        # 10 rows of 3 uint8 counts and a float64 probability, then 2 float64 counts and 2 weights each
         cfg = write_config(tmp_path, {"scenario": {"n_eaps": 3, "k_types": 4}})
         args = [command, "--gamma-steps", "2"] if command == "sweep" else [command]
         out = tmp_path / "out"
         composition_table.cache_clear()
         assert main(args + ["--config", cfg, "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["table"] == {"rows": 20, "bytes": 20 * (4 + 8)}
+        assert manifest["table"] == {"rows": 20, "bytes": 10 * (3 + 8) + 10 * (2 + 2) * 8}
         # the record is computed, not read from a second table lookup
         if command != "sweep":
             assert composition_table.cache_info().hits == 0
@@ -588,6 +589,13 @@ class TestTableLookups:
         config = str(WORKLOADS / "sweep-mid.json")
         misses, hits = table_lookups(["sweep", "--config", config, "--out", str(tmp_path)])
         assert misses == 1 and hits >= 1
+
+    def test_odd_k_sweep_looks_one_table_up(self, tmp_path):
+        # K=7 splits into halves of 4 and 3 types, both read from one table
+        config = write_config(tmp_path, {"scenario": {"n_eaps": 12, "k_types": 7}})
+        misses, hits = table_lookups(["sweep", "--gamma-steps", "2", "--config", config, "--out", str(tmp_path / "out")])
+        assert misses == 1 and hits >= 1
+        assert composition_table.cache_info().currsize == 1
 
     def test_verify_looks_no_table_up(self, solve_large, tmp_path):
         config = str(WORKLOADS / "solve-large.json")

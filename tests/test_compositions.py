@@ -243,6 +243,21 @@ class TestExpectedDapUtility:
             assert expected_dap_utility(q, bumped, profile, 1.0, 1.0, 2) < base
 
 
+def whole_table_terms(n, k, q, gamma):
+    """rate_terms' value, gradient and Hessian as whole-table numpy sums over composition_table(n, k)."""
+    table = composition_table(n, k)
+    counts, probs = table[0].astype(np.float64), table[1]
+    s = counts @ q
+    a = gamma / (1.0 + gamma * s)
+    return probs @ np.log1p(gamma * s), counts.T @ (probs * a), counts.T @ (counts * (probs * a * a)[:, None])
+
+
+@st.composite
+def increasing_ladders(draw, k):
+    gaps = [draw(st.floats(0.01, 1.5)) for _ in range(k)]
+    return np.cumsum(gaps)
+
+
 class TestRateTerms:
     """rate_terms is the one expectation on the solver's path; whatever computes it must match
     these whole-table sums."""
@@ -252,15 +267,116 @@ class TestRateTerms:
     )
     def test_matches_whole_table_sums(self, monkeypatch, n, k, gamma):
         q = np.linspace(0.2, 1.0, k)
-        table = composition_table(n, k)
-        counts, probs = table[0].astype(np.float64), table[1]
-        s = counts @ q
-        a = gamma / (1.0 + gamma * s)
-        monkeypatch.setattr(compositions, "_BLOCK_ROWS", 64)  # (6, 5) has 210 rows: a partial last block
-        assert compositions.rate_terms(table, q, gamma) == pytest.approx(probs @ np.log1p(gamma * s), rel=1e-12)
-        grad, hess = compositions.rate_terms(table, q, gamma, derivatives=True)
-        np.testing.assert_allclose(grad, counts.T @ (probs * a), rtol=1e-12)
-        np.testing.assert_allclose(hess, counts.T @ (counts * (probs * a * a)[:, None]), rtol=1e-12)
+        value, grad, hess = whole_table_terms(n, k, q, gamma)
+        # the split weighs composition_table(n, ceil(k/2)+1) in blocks of 64 rows: the 66 rows of
+        # (10, 3) and the 84 of (6, 5) end in a partial block
+        monkeypatch.setattr(compositions, "_BLOCK_ROWS", 64)
+        split = compositions.split_table(n, k)
+        # 5 pairs a block cut every sum of (6, 5), across its b's or across its a's, four of them
+        # into a partial last block; 64 put several sums of (6, 5) and of (10, 3) into one padded block
+        for block in (5, 64):
+            monkeypatch.setattr(compositions, "_BLOCK_PAIRS", block)
+            assert compositions.rate_terms(split, q, gamma) == pytest.approx(value, rel=1e-12)
+            split_grad, split_hess = compositions.rate_terms(split, q, gamma, derivatives=True)
+            np.testing.assert_allclose(split_grad, grad, rtol=1e-12)
+            np.testing.assert_allclose(split_hess, hess, rtol=1e-12)
+
+    @pytest.mark.parametrize("n, k", [(300, 3), (2000, 2)])
+    def test_many_sums_in_one_block(self, n, k):
+        # one b per sum: dozens of sums or more share each block
+        q = np.linspace(0.2, 1.0, k) / n
+        value, grad, hess = whole_table_terms(n, k, q, 0.125)
+        split = compositions.split_table(n, k)
+        assert max(a.shape[0] for a, _, _, _ in compositions._split_blocks(split)) >= 32
+        assert compositions.rate_terms(split, q, 0.125) == pytest.approx(value, rel=1e-12)
+        split_grad, split_hess = compositions.rate_terms(split, q, 0.125, derivatives=True)
+        np.testing.assert_allclose(split_grad, grad, rtol=1e-12)
+        np.testing.assert_allclose(split_hess, hess, rtol=1e-12)
+
+    def test_overflowing_rate_is_infinite(self):
+        # (5, 3) pads its sums into one block: a padded pair, of weight 0, adds 0 where gamma n.q
+        # overflows, not 0 x inf
+        split = compositions.split_table(5, 3)
+        with np.errstate(over="ignore", invalid="raise"):
+            assert compositions.rate_terms(split, np.array([1.0, 2.0, 3.0]), 1e308) == math.inf
+
+    # odd K splits into unequal halves, K=1 leaves group B empty; a term below the
+    # smallest normal float (a Hessian near gamma = 1e-154) is held only to that float's size
+    @given(n=st.integers(0, 12), k=st.integers(1, 9), exponent=st.floats(-300.0, 290.0), data=st.data())
+    @settings(max_examples=200)
+    def test_matches_whole_table_sums_on_random_ladders(self, n, k, exponent, data):
+        q = data.draw(increasing_ladders(k))
+        gamma = 0.125 * 10.0**exponent  # the default scenario's reference gamma times 1e-300..1e290
+        with np.errstate(over="ignore", invalid="ignore"):  # at N=0 the slope is gamma, and its square can overflow
+            value, grad, hess = whole_table_terms(n, k, q, gamma)
+        split = compositions.split_table(n, k)
+        tiny = np.finfo(float).tiny
+        assert compositions.rate_terms(split, q, gamma) == pytest.approx(value, rel=1e-12, abs=tiny)
+        if n:
+            split_grad, split_hess = compositions.rate_terms(split, q, gamma, derivatives=True)
+            np.testing.assert_allclose(split_grad, grad, rtol=1e-12, atol=tiny)
+            np.testing.assert_allclose(split_hess, hess, rtol=1e-12, atol=tiny)
+
+
+class TestSplitTable:
+    @pytest.mark.parametrize("n, k", [(0, 1), (4, 1), (3, 2), (5, 3), (6, 5), (4, 6), (7, 7), (6, 8)])
+    def test_pairs_are_the_count_vectors(self, monkeypatch, n, k):
+        # every (a, b) pair of positive weight, read as one count vector, is a row of the whole
+        # table with its probability, and is met once: padding pairs have weight 0
+        counts, probs = composition_table(n, k)
+        expected = {tuple(int(c) for c in row): p for row, p in zip(counts, probs)}
+        split = compositions.split_table(n, k)
+        for block in (7, 16_384):
+            monkeypatch.setattr(compositions, "_BLOCK_PAIRS", block)
+            met = {}
+            for a, wa, b, wb in compositions._split_blocks(split):
+                assert wa.size * wb.shape[1] <= block
+                for g in range(a.shape[0]):
+                    for row_a, weight_a in zip(a[g], wa[g]):
+                        for row_b, weight_b in zip(b[g], wb[g]):
+                            if weight_a * weight_b:
+                                row = tuple(int(c) for c in np.concatenate([row_a, row_b]))
+                                assert row not in met
+                                met[row] = weight_a * weight_b
+            assert sorted(met) == sorted(expected)
+            for row, p in expected.items():
+                assert met[row] == pytest.approx(p, rel=1e-13)
+
+    @pytest.mark.parametrize("n, k", [(20, 8), (10, 10), (12, 7), (0, 1), (300, 3), (5, 2)])
+    def test_looks_one_table_up(self, n, k):
+        # the table of ceil(K/2)+1 columns, for every K
+        composition_table.cache_clear()
+        compositions.split_table(n, k)
+        composition_table(n, (k + 1) // 2 + 1)
+        info = composition_table.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+    @pytest.mark.parametrize("n, k", [(20, 8), (10, 10), (12, 7), (3, 4), (0, 1), (4, 2), (300, 3)])
+    def test_nbytes_without_building(self, n, k):
+        nbytes = compositions.split_nbytes(n, k)
+        split = compositions.split_table(n, k)
+        counts, probs = composition_table(n, (k + 1) // 2 + 1)
+        if k % 2 == 0:  # the b's are the a's; for odd K, a copy of some of them
+            assert split.b.counts is split.a.counts
+        held = sum(array.nbytes for array in (split.a.counts, split.a.weights, split.b.weights))
+        held += split.b.counts.nbytes if k % 2 else 0
+        assert nbytes == held + counts.nbytes + probs.nbytes
+
+    def test_block_bound(self, monkeypatch):
+        monkeypatch.setattr(compositions, "_BLOCK_PAIRS", 7)
+        blocks = list(compositions._split_blocks(compositions.split_table(9, 6)))
+        assert max(wa.size * wb.shape[1] for _, wa, _, wb in blocks) <= 7
+        assert sum(np.count_nonzero(wa[:, :, None] * wb[:, None, :]) for _, wa, _, wb in blocks) == math.comb(14, 5)
+
+    def test_over_budget_refused_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="20,030,010"):
+                compositions.split_table(10, 20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
 
 class TestExpectedSocialWelfare:

@@ -174,11 +174,15 @@ class TestReducedHessian:
         for n, k in [(1, 1), (2, 3), (3, 2), (4, 5)]:
             profile = TypeProfile(tuple(np.cumsum(rng.uniform(0.2, 1.0, k)) + 0.3))
             gamma, w = rng.uniform(0.3, 20.0), rng.uniform(0.5, 2.0)
-            problem = _ReducedProblem(profile, gamma, w, n)
+            # the split of (4, 5) weighs the 35 rows of composition_table(4, 4) in blocks of 16,
+            # a partial last block
+            with mock.patch.object(compositions_module, "_BLOCK_ROWS", 16):
+                problem = _ReducedProblem(profile, gamma, w, n)
             for _ in range(5):
                 q = rng.uniform(0.1, 2.0, size=k)
-                # (4, 5) has 70 rows: blocks of 64 leave a partial last block
-                with mock.patch.object(compositions_module, "_BLOCK_ROWS", 64):
+                # at 5 pairs a block, (4, 5) cuts all its sums but the first into blocks, (3, 2)
+                # puts its four sums into one block, and (2, 3) its first two into a padded one
+                with mock.patch.object(compositions_module, "_BLOCK_PAIRS", 5):
                     hess = problem.newton_system(q)[1]
                 np.testing.assert_allclose(hess, hess.T, rtol=1e-14)
                 for i in range(k):
@@ -192,9 +196,13 @@ class TestReducedHessian:
                     np.testing.assert_allclose(hess[:, i], fd, rtol=1e-5, atol=1e-9 * np.abs(hess).max())
 
     def test_blocks_cover_every_row(self):
-        # N=6, K=5 has 210 rows; a block of 64 rows leaves a partial last block
+        # N=6, K=5 has 210 count vectors. Its split weighs the 84 rows of composition_table(6, 4)
+        # in blocks of 64, a partial last block. At 5 pairs a block every sum is cut into blocks,
+        # across its b's for the first two and across its a's for the rest, and four of them end
+        # in a partial block
         profile = TypeProfile((0.5, 1.0, 1.5, 2.0, 2.5))
-        problem = _ReducedProblem(profile, 3.0, 1.0, 6)
+        with mock.patch.object(compositions_module, "_BLOCK_ROWS", 64):
+            problem = _ReducedProblem(profile, 3.0, 1.0, 6)
         q = np.linspace(0.2, 1.0, 5)
         counts, probs = composition_table(6, 5)
         counts = counts.astype(np.float64)
@@ -204,7 +212,7 @@ class TestReducedHessian:
         weights = probs / (1.0 + 3.0 * s) ** 2
         hess = -(3.0**2 / LN2) * (counts.T @ (counts * weights[:, None]))
         hess -= np.diag(2.0 * problem.exp_d)
-        with mock.patch.object(compositions_module, "_BLOCK_ROWS", 64):
+        with mock.patch.object(compositions_module, "_BLOCK_PAIRS", 5):
             blocked_rate = problem.parts(q)[0]
             blocked_grad, blocked_hess = problem.newton_system(q)
         assert blocked_rate == pytest.approx(rate, rel=1e-13)
@@ -322,14 +330,15 @@ class TestSolve:
 
 class TestMemory:
     def test_compact_table_and_block_sized_solve(self):
-        # N=20, K=8: a float64 table held 63.9 MB, and a solve over it peaked
-        # 28.8 MB above it with its row-sized float64 temporaries
+        # N=20, K=8: the solve reads composition_table(20, 5), 10,626 rows in 138 KB, and reuses it
+        # from the cache. A float64 table of all 888,030 count vectors held 63.9 MB, and a solve
+        # over it peaked 28.8 MB above it with its row-sized float64 temporaries
         cfg = ScenarioConfig(n_eaps=20, k_types=8)
         profile = build_type_ladder(cfg)
         composition_table.cache_clear()
         tracemalloc.start()
         try:
-            composition_table(20, 8)
+            composition_table(20, 5)
             held, _ = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
             res = solve(profile, reference_gamma(cfg), bandwidth_mbps(cfg), 20)
@@ -337,8 +346,27 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert res.converged
-        assert held < 16e6
+        info = composition_table.cache_info()
+        assert (info.misses, info.currsize) == (1, 1) and info.hits >= 1
+        assert held < 0.2e6
         assert peak - held < 2e6
+
+    def test_split_table_passes_peak_small(self):
+        # N=20, K=8: over the whole table the problem held 14.2 MB and peaked at 14.9 MB; the split
+        # table reads composition_table(20, 5), 10,626 rows, in blocks of at most 16,384 pairs
+        cfg = ScenarioConfig(n_eaps=20, k_types=8)
+        profile = build_type_ladder(cfg)
+        composition_table.cache_clear()
+        tracemalloc.start()
+        try:
+            problem = _ReducedProblem(profile, reference_gamma(cfg), bandwidth_mbps(cfg), 20)
+            q = np.linspace(0.2, 1.0, 8)
+            problem.newton_system(q)
+            problem.parts(q)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6
 
 
 class TestSolverConfig:
