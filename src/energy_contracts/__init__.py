@@ -7,7 +7,7 @@ feasibility exhaustively, and benchmarks it against the full-information
 optimum and a uniform-price scheme across channel-quality sweeps.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .baselines import (
     CompleteInfoSolution,

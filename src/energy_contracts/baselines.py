@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compositions import composition_table, table_blocks
+from .compositions import composition_table
 from .market import LN2, TypeProfile
 
 _NEWTON_MAX_ITERS = 100
@@ -34,8 +34,8 @@ def _t_distribution(profile: TypeProfile, n_total: int) -> tuple[np.ndarray, np.
         size = n_total * (k - 1) + 1
         pmf = np.fft.irfft(np.fft.rfft(np.full(k, 1.0 / k), size) ** n_total, size)
         return n_total * thetas[0] + delta * np.arange(size), np.maximum(pmf, 0.0)
-    table = composition_table(n_total, k)
-    return np.concatenate([counts @ thetas for counts, _ in table_blocks(table)]), table[1]
+    counts, probs = composition_table(n_total, k)  # einsum casts the narrow counts chunk by chunk
+    return np.einsum("ij,j->i", counts, thetas), probs
 
 
 @dataclass(frozen=True)
@@ -53,8 +53,8 @@ class CompleteInfoSolution:
     welfare: float
 
 
-def complete_info_lambda(t_total: float, gamma: float, bandwidth_w: float) -> float:
-    """Shared multiplier: the positive root of
+def complete_info_lambda(t_total, gamma: float, bandwidth_w: float) -> np.ndarray:
+    """Shared multiplier, elementwise over T: the positive root of
 
         gamma T lam^2 + lam - W gamma / (2 ln 2) = 0,   T = sum_k n_k theta_k.
 
@@ -63,10 +63,8 @@ def complete_info_lambda(t_total: float, gamma: float, bandwidth_w: float) -> fl
     which equals (sqrt(disc) - 1) / (2 gamma T) but does not cancel to zero
     when 2 gamma T c is below the float resolution of disc.
     """
-    if t_total <= 0.0 or gamma <= 0.0:
-        return 0.0
-    c = bandwidth_w * gamma / LN2
-    return c / (1.0 + math.sqrt(1.0 + 2.0 * gamma * t_total * c))
+    c = bandwidth_w * max(gamma, 0.0) / LN2
+    return np.where(t_total > 0.0, c / (1.0 + np.sqrt(1.0 + 2.0 * gamma * t_total * c)), 0.0)
 
 
 def complete_info_contract(
@@ -79,7 +77,7 @@ def complete_info_contract(
     if n.size != thetas.size:
         raise ValueError("counts length does not match the type ladder")
     t_total = float(n @ thetas)
-    lam = complete_info_lambda(t_total, gamma, bandwidth_w)
+    lam = float(complete_info_lambda(t_total, gamma, bandwidth_w))
     q = lam * thetas
     pi = q * q / thetas
     welfare = bandwidth_w * math.log1p(gamma * lam * t_total) / LN2 - lam * lam * t_total
@@ -94,10 +92,7 @@ def expected_complete_info_welfare(
     if gamma <= 0.0:
         return 0.0
     t_total, probs = _t_distribution(profile, n_total)
-    # same rationalized root as complete_info_lambda; an empty market (T = 0)
-    # gets lam = c/2 here but contributes zero welfare either way
-    c = bandwidth_w * gamma / LN2
-    lam = c / (1.0 + np.sqrt(1.0 + 2.0 * gamma * t_total * c))
+    lam = complete_info_lambda(t_total, gamma, bandwidth_w)
     welfare = bandwidth_w * np.log1p(gamma * lam * t_total) / LN2 - lam * lam * t_total
     return float(probs @ welfare)
 

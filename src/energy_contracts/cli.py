@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .compositions import split_nbytes, table_rows
+from .compositions import split_nbytes, split_rows, table_rows
 from .feasibility import DEFAULT_TOL, verify_contract
 from .market import Contract, TypeProfile
 from .scenario import (
@@ -58,6 +58,10 @@ SWEEP_COLUMNS = [
     "normalized_linear",
 ]
 CURVE_COLUMNS = ["probe_type", "item_index", "utility"]
+
+# Most points a sweep may have: each runs a solve and three baselines and keeps its SolveResult,
+# so a grid of 1e13 points would fail in np.linspace or run for ages rather than be refused.
+MAX_GAMMA_STEPS = 100_000
 
 
 class ConfigError(Exception):
@@ -156,7 +160,7 @@ def _positive_finite(value, name: str) -> float:
 
 def _dataclass_from_config(cfg: dict, section: str):
     """Build a section's dataclass, converting each value by the type of its
-    field's default; an optional (None-default) field takes null or a vector."""
+    field's default."""
     cls = _DATACLASS_SECTIONS[section]
     values = {}
     try:
@@ -164,8 +168,6 @@ def _dataclass_from_config(cfg: dict, section: str):
             value = cfg[section][f.name]
             if isinstance(f.default, int):
                 values[f.name] = _config_int(value, f"{section}.{f.name}")
-            elif f.default is None:
-                values[f.name] = None if value is None else tuple(value)
             else:
                 values[f.name] = type(f.default)(value)
         return cls(**values)
@@ -174,11 +176,11 @@ def _dataclass_from_config(cfg: dict, section: str):
 
 
 def scenario_from_config(cfg: dict) -> ScenarioConfig:
-    """The scenario, refused when its count vectors are over the table budget:
-    every command but verify sums over them."""
+    """The scenario, refused when its count vectors or the split table that
+    weighs them are over the table budget: every command but verify sums over them."""
     scenario = _dataclass_from_config(cfg, "scenario")
     try:
-        table_rows(scenario.n_eaps, scenario.k_types)
+        split_rows(scenario.n_eaps, scenario.k_types)
     except ValueError as exc:
         raise ConfigError(f"invalid scenario: {exc}") from exc
     return scenario
@@ -265,18 +267,16 @@ def _resolve(command: str, cfg: dict) -> dict:
         return run
     section = cfg[command]
     run["scenario"] = scenario = scenario_from_config(cfg)
-    run["solver"] = solver = solver_from_config(cfg)
+    run["solver"] = solver_from_config(cfg)
     n, k = scenario.n_eaps, scenario.k_types
     run["table"] = {"rows": table_rows(n, k), "bytes": split_nbytes(n, k)}
-    if solver.init_q is not None and len(solver.init_q) != k:
-        raise ConfigError(f"solver.init_q must hold one value per type ({k}), got {len(solver.init_q)}")
     if command == "sweep":
         lo, hi = gamma_range(scenario)
         section["gamma_min"] = gamma_min = _resolve_gamma(section["gamma_min"], lo, "sweep.gamma_min")
         section["gamma_max"] = gamma_max = _resolve_gamma(section["gamma_max"], hi, "sweep.gamma_max")
         section["gamma_steps"] = steps = _config_int(section["gamma_steps"], "sweep.gamma_steps")
-        if steps < 1:
-            raise ConfigError("sweep.gamma_steps must be at least 1")
+        if not 1 <= steps <= MAX_GAMMA_STEPS:
+            raise ConfigError(f"sweep.gamma_steps must be between 1 and {MAX_GAMMA_STEPS:,}, got {steps}")
         if gamma_min > gamma_max:
             raise ConfigError(f"invalid gamma range [{gamma_min}, {gamma_max}]")
         return run

@@ -25,7 +25,7 @@ from .market import LN2, TypeProfile
 # Most count vectors a market may have: (20, 8) has 888,030; (10, 20), 20,030,010, is refused. It bounds
 # each rate_terms pass's evaluations, and the oracle's table, which at (10, 20) would take 560 MB.
 MAX_TABLE_ROWS = 10_000_000
-_BLOCK_ROWS = 4096  # rows per table_blocks block; bounds each pass's temporaries to rows x K
+_BLOCK_ROWS = 4096  # rows per block of a table's log-factorial sums; bounds their temporaries to rows x K
 _BLOCK_PAIRS = 16_384  # (a, b) pairs per split-table block; bounds each rate_terms pass's temporaries
 
 
@@ -86,10 +86,10 @@ def composition_table(n_total: int, k_types: int) -> tuple[np.ndarray, np.ndarra
     N! / (n_1! ... n_K! K^N).
 
     The counts are in the narrowest unsigned integer that holds N (uint8 up to N=255): widen
-    them, as table_blocks does, before any arithmetic whose result can exceed N. Returned
-    read-only, and only the last table is cached: a run reuses one (N, K), and each further
-    table kept would pin up to the budget's hundreds of megabytes. Tables over MAX_TABLE_ROWS
-    rows are refused with a ValueError."""
+    them, or have einsum cast them in its buffered chunks, before any arithmetic whose result
+    can exceed N. Returned read-only, and only the last table is cached: a run reuses one (N, K),
+    and each further table kept would pin up to the budget's hundreds of megabytes. Tables over
+    MAX_TABLE_ROWS rows are refused with a ValueError."""
     rows = table_rows(n_total, k_types)
     counts = _counts(n_total, k_types, rows)
     # log-factorial sums and exp block by block into probs: no rows-sized temporary beyond the table
@@ -100,18 +100,6 @@ def composition_table(n_total: int, k_types: int) -> tuple[np.ndarray, np.ndarra
     counts.setflags(write=False)
     probs.setflags(write=False)
     return counts, probs
-
-
-def table_blocks(table: tuple[np.ndarray, np.ndarray]):
-    """Yield a composition_table pair as (counts, probs) blocks of _BLOCK_ROWS rows, the counts
-    widened to float64: the one pass of every expectation. Each counts block is written into one
-    reused buffer, so it is valid only until the next one is yielded."""
-    counts, probs = table
-    wide = np.empty((min(_BLOCK_ROWS, counts.shape[0]), counts.shape[1]))
-    for lo in range(0, counts.shape[0], _BLOCK_ROWS):
-        block = wide[: min(_BLOCK_ROWS, counts.shape[0] - lo)]
-        block[...] = counts[lo : lo + _BLOCK_ROWS]
-        yield block, probs[lo : lo + _BLOCK_ROWS]
 
 
 def per_type(values: Sequence[float], profile: TypeProfile, name: str = "q") -> np.ndarray:
@@ -155,10 +143,25 @@ def _starts(sizes: np.ndarray) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(sizes)])[:-1]
 
 
+def split_rows(n_total: int, k_types: int) -> int:
+    """Rows C(N+m, m) of the composition_table(N, m+1) a split_table reads, m = ceil(K/2), checked
+    with the market's own count vectors against MAX_TABLE_ROWS before anything is allocated
+    (ValueError over it). Only at K=1 is that table the larger: N+1 rows weigh the one count vector."""
+    table_rows(n_total, k_types)
+    m = (k_types + 1) // 2
+    rows = math.comb(n_total + m, m)
+    if rows > MAX_TABLE_ROWS:
+        raise ValueError(
+            f"{n_total} sellers need a split table of {rows:,} rows, "
+            f"over the composition table's budget of {MAX_TABLE_ROWS:,} rows"
+        )
+    return rows
+
+
 def split_table(n_total: int, k_types: int) -> SplitTable:
     """The SplitTable of N sellers over K types, from one composition_table lookup.
-    Markets over MAX_TABLE_ROWS count vectors are refused with a ValueError."""
-    table_rows(n_total, k_types)
+    Markets refused by split_rows raise its ValueError."""
+    split_rows(n_total, k_types)
     m = (k_types + 1) // 2
     types_b = k_types - m
     counts = composition_table(n_total, m + 1)[0]
@@ -191,7 +194,7 @@ def split_nbytes(n_total: int, k_types: int) -> int:
     """Bytes a split_table holds with the composition_table it reads, without building either: the
     table, and in float64 the a's, a weight per a and per b, and when K is odd the b's own counts."""
     m = (k_types + 1) // 2
-    rows_a, rows_b = table_rows(n_total, m + 1), table_rows(n_total, k_types - m + 1)
+    rows_a, rows_b = split_rows(n_total, k_types), table_rows(n_total, k_types - m + 1)
     return table_nbytes(n_total, m + 1) + 8 * (rows_a * (m + 1) + rows_b * (1 + (k_types - m) * (k_types % 2)))
 
 
@@ -292,8 +295,9 @@ def expected_dap_utility(
     oracle independent of rate_terms.
     """
     q, pi = per_type(q, profile), per_type(pi, profile, "pi")
-    blocks = table_blocks(composition_table(n_total, profile.k))
-    return float(sum(probs @ (bandwidth_w * np.log2(1.0 + gamma * (c @ q)) - c @ pi) for c, probs in blocks))
+    counts, probs = composition_table(n_total, profile.k)  # einsum casts the narrow counts chunk by chunk
+    rate = bandwidth_w * np.log2(1.0 + gamma * np.einsum("ij,j->i", counts, q))
+    return float(probs @ (rate - np.einsum("ij,j->i", counts, pi)))
 
 
 def expected_social_welfare(

@@ -189,9 +189,9 @@ def run_sweep(
     """Solve all three mechanisms at every grid point.
 
     Grid points must be positive. Every solve starts from its own mean-field
-    point, or from solver_cfg.init_q when set. Any non-converged or
-    non-monotone solve, or a nonempty market whose first-best welfare
-    underflows to zero, aborts the sweep with the failing gamma reported.
+    point. Any non-converged or non-monotone solve, or a nonempty market
+    whose first-best welfare underflows to zero, aborts the sweep with the
+    failing gamma reported.
     """
     grid = default_gamma_grid(cfg) if gamma_grid is None else np.asarray(gamma_grid, dtype=float)
     if grid.size == 0 or grid.min() <= 0.0:

@@ -34,23 +34,16 @@ class SolverConfig:
 
     grad_tol:  stop when the gradient norm falls below this (and the Newton step is negligible)
     max_iters: hard iteration cap
-    init_q:    optional positive starting point; defaults to the mean-field point
     """
 
     grad_tol: float = 1e-8
     max_iters: int = 10_000
-    init_q: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.grad_tol) and self.grad_tol > 0.0):
             raise ValueError(f"grad_tol must be positive and finite, got {self.grad_tol}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.init_q is not None:
-            init = tuple(float(x) for x in self.init_q)
-            if not all(0.0 < x < math.inf for x in init):
-                raise ValueError("init_q must be positive and finite")
-            object.__setattr__(self, "init_q", init)
 
 
 @dataclass(frozen=True)
@@ -202,14 +195,11 @@ def solve(
         return SolveResult(contract, 0.0, 0, True, 0.0, True)
 
     problem = _ReducedProblem(profile, gamma, bandwidth_w, n_total)
-    if cfg.init_q is not None:
-        q = per_type(cfg.init_q, profile, "init_q")
-    else:
-        # mean-field start alpha cap: cap_k = (W gamma/ln 2)(N/K)/(2 E[D_k]) bounds the maximizer, is it as gamma -> 0;
-        # alpha = 2/(1 + sqrt(1 + 4x)), x = gamma (N/K) sum cap, is divided through by 2 gamma: x overflows near 1e289
-        cap_per_gamma = (bandwidth_w / LN2) * (n_total / k) / (2.0 * problem.exp_d)
-        half_inv = 0.5 / float(gamma)
-        q = cap_per_gamma / (half_inv + math.hypot(half_inv, math.sqrt((n_total / k) * float(cap_per_gamma.sum()))))
+    # mean-field start alpha cap: cap_k = (W gamma/ln 2)(N/K)/(2 E[D_k]) bounds the maximizer, is it as gamma -> 0;
+    # alpha = 2/(1 + sqrt(1 + 4x)), x = gamma (N/K) sum cap, is divided through by 2 gamma: x overflows near 1e289
+    cap_per_gamma = (bandwidth_w / LN2) * (n_total / k) / (2.0 * problem.exp_d)
+    half_inv = 0.5 / float(gamma)
+    q = cap_per_gamma / (half_inv + math.hypot(half_inv, math.sqrt((n_total / k) * float(cap_per_gamma.sum()))))
 
     rate, quad = problem.parts(q)
     converged = False

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,6 +63,21 @@ class TestTDistribution:
         counts, probs = composition_table(3, 3)
         np.testing.assert_array_equal(t_atoms, counts @ profile.as_array())
         np.testing.assert_array_equal(p_atoms, probs)
+
+    def test_uneven_ladder_forms_no_float_table(self):
+        # N=20, K=8 has 888,030 count vectors in uint8: a float64 copy would take 56.8 MB, and atoms
+        # concatenated from float64 blocks would peak at twice their own 7.1 MB
+        profile = TypeProfile(tuple(0.1 * 1.3 ** np.arange(8)))
+        counts, probs = composition_table(20, 8)
+        tracemalloc.start()
+        try:
+            t_atoms, p_atoms = baselines._t_distribution(profile, 20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_allclose(t_atoms, counts.astype(np.float64) @ profile.as_array(), rtol=1e-14)
+        assert p_atoms is probs
+        assert peak <= 1.25 * t_atoms.nbytes
 
 
 class TestCompleteInfo:

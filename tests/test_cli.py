@@ -3,6 +3,7 @@ import inspect
 import json
 import math
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -213,12 +214,43 @@ class TestConfigHandling:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["solve", "sweep"])
-    def test_init_q_of_wrong_length_is_a_config_error(self, tmp_path, capsys, command):
-        path = write_config(tmp_path, {"scenario": {"n_eaps": 2, "k_types": 5}, "solver": {"init_q": [1.0, 2.0]}})
+    def test_retired_init_q_is_an_unknown_field(self, tmp_path, capsys, command):
+        # removed in 0.3.0: every solve starts at the mean-field point
+        path = write_config(tmp_path, {"scenario": {"n_eaps": 2, "k_types": 5}, "solver": {"init_q": [1.0] * 5}})
         out = tmp_path / "out"
         assert main([command, "--config", path, "--out", str(out)]) == 1
-        assert "solver.init_q" in capsys.readouterr().err
+        assert capsys.readouterr().err == "config error: unknown field 'solver.init_q'\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, config, named",
+        [
+            # one type has one count vector, but its split table reads N+1 rows to weigh it
+            (["solve"], {"scenario": {"n_eaps": 20_000_000, "k_types": 1}}, "20,000,001 rows"),
+            (["sweep"], {"scenario": {"n_eaps": 2, "k_types": 5}, "sweep": {"gamma_steps": 10**13}}, "gamma_steps"),
+            (
+                ["sweep", "--gamma-steps", str(cli.MAX_GAMMA_STEPS + 1)],
+                {"scenario": {"n_eaps": 2, "k_types": 5}},
+                "sweep.gamma_steps",
+            ),
+        ],
+    )
+    def test_oversized_request_refused_before_allocating(self, tmp_path, capsys, argv, config, named):
+        path = write_config(tmp_path, config)
+        out = tmp_path / "out"
+        composition_table.cache_clear()
+        tracemalloc.start()
+        try:
+            assert main([*argv, "--config", path, "--out", str(out)]) == 1
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and named in err
+        assert "types" not in err
+        assert not out.exists()
+        assert composition_table.cache_info().misses == 0
+        assert peak < 1e6
 
 
 class TestSolveCommand:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 import tracemalloc
 from pathlib import Path
@@ -317,16 +318,6 @@ class TestSolve:
         assert not res.converged
         assert res.iterations == 1
 
-    def test_init_q_length_checked(self):
-        with pytest.raises(ValueError):
-            solve(TypeProfile((1.0, 2.0)), 1.0, 1.0, 1, SolverConfig(init_q=(0.1,)))
-
-    def test_custom_start_reaches_same_optimum(self):
-        profile = TypeProfile((0.5, 1.0, 2.0))
-        res_a = solve(profile, 1.2, 1.0, 2)
-        res_b = solve(profile, 1.2, 1.0, 2, SolverConfig(init_q=(0.9, 0.9, 0.9)))
-        np.testing.assert_allclose(res_a.contract.qs, res_b.contract.qs, atol=1e-7)
-
 
 class TestMemory:
     def test_compact_table_and_block_sized_solve(self):
@@ -377,9 +368,6 @@ class TestSolverConfig:
             {"max_iters": 0},
             {"grad_tol": math.nan},
             {"grad_tol": math.inf},
-            {"init_q": (0.0,)},
-            {"init_q": (math.nan,)},
-            {"init_q": (-0.1,)},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -389,3 +377,9 @@ class TestSolverConfig:
     def test_line_search_keys_are_gone(self):
         with pytest.raises(TypeError):
             SolverConfig(backtrack_beta=0.5)
+
+    def test_start_is_not_configurable(self):
+        # removed in 0.3.0: the objective is strictly concave, so a start changes only the iteration count
+        with pytest.raises(TypeError):
+            SolverConfig(init_q=(0.9, 0.9, 0.9))
+        assert [f.name for f in dataclasses.fields(SolverConfig)] == ["grad_tol", "max_iters"]
