@@ -7,7 +7,7 @@ feasibility exhaustively, and benchmarks it against the full-information
 optimum and a uniform-price scheme across channel-quality sweeps.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .baselines import (
     CompleteInfoSolution,
@@ -58,7 +58,6 @@ from .scenario import (
 )
 from .solver import (
     SolveResult,
-    SolverConfig,
     expected_quadratic_coefficients,
     quadratic_coefficients,
     reduced_objective,

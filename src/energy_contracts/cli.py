@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .compositions import split_nbytes, split_rows, table_rows
+from .compositions import split_nbytes, table_rows
 from .feasibility import DEFAULT_TOL, verify_contract
 from .market import Contract, TypeProfile
 from .scenario import (
@@ -39,7 +39,7 @@ from .scenario import (
     run_sweep,
     utility_curves,
 )
-from .solver import SolverConfig, solve
+from .solver import solve
 
 ENV_OUT_DIR = "ENERGY_CONTRACTS_OUTDIR"
 
@@ -68,27 +68,19 @@ class ConfigError(Exception):
     pass
 
 
-# the config sections that mirror a dataclass, field for field
-_DATACLASS_SECTIONS = {"scenario": ScenarioConfig, "solver": SolverConfig}
-
-
 def default_config() -> dict:
     """Fully populated configuration reproducing the reference setup.
 
-    The scenario and solver sections are the dataclass defaults, tuples as
-    JSON lists.
+    The scenario section is the ScenarioConfig defaults, tuples as JSON lists.
     """
-    cfg = {
-        name: {
-            f.name: list(f.default) if isinstance(f.default, tuple) else f.default
-            for f in dataclasses.fields(cls)
-        }
-        for name, cls in _DATACLASS_SECTIONS.items()
+    fields = dataclasses.fields(ScenarioConfig)
+    scenario = {f.name: list(f.default) if isinstance(f.default, tuple) else f.default for f in fields}
+    return {
+        "scenario": scenario,
+        "solve": {"gamma": None, "tol": DEFAULT_TOL},
+        "sweep": {"gamma_min": None, "gamma_max": None, "gamma_steps": DEFAULT_GAMMA_STEPS},
+        "curves": {"gamma": None, "probe_types": None},
     }
-    cfg["solve"] = {"gamma": None, "tol": DEFAULT_TOL}
-    cfg["sweep"] = {"gamma_min": None, "gamma_max": None, "gamma_steps": DEFAULT_GAMMA_STEPS}
-    cfg["curves"] = {"gamma": None, "probe_types": None}
-    return cfg
 
 
 def load_config(path: str | Path) -> dict:
@@ -158,36 +150,22 @@ def _positive_finite(value, name: str) -> float:
     return number
 
 
-def _dataclass_from_config(cfg: dict, section: str):
-    """Build a section's dataclass, converting each value by the type of its
-    field's default."""
-    cls = _DATACLASS_SECTIONS[section]
+def scenario_from_config(cfg: dict) -> tuple[ScenarioConfig, int]:
+    """The scenario, each value converted by the type of its field's default, and the bytes of the
+    split table that weighs its count vectors. Refused when they are over split_nbytes's budgets:
+    every command but verify sums over them."""
     values = {}
     try:
-        for f in dataclasses.fields(cls):
-            value = cfg[section][f.name]
+        for f in dataclasses.fields(ScenarioConfig):
+            value = cfg["scenario"][f.name]
             if isinstance(f.default, int):
-                values[f.name] = _config_int(value, f"{section}.{f.name}")
+                values[f.name] = _config_int(value, f"scenario.{f.name}")
             else:
                 values[f.name] = type(f.default)(value)
-        return cls(**values)
+        scenario = ScenarioConfig(**values)
+        return scenario, split_nbytes(scenario.n_eaps, scenario.k_types)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"invalid {section}: {exc}") from exc
-
-
-def scenario_from_config(cfg: dict) -> ScenarioConfig:
-    """The scenario, refused when its count vectors or the split table that
-    weighs them are over the table budget: every command but verify sums over them."""
-    scenario = _dataclass_from_config(cfg, "scenario")
-    try:
-        split_rows(scenario.n_eaps, scenario.k_types)
-    except ValueError as exc:
         raise ConfigError(f"invalid scenario: {exc}") from exc
-    return scenario
-
-
-def solver_from_config(cfg: dict) -> SolverConfig:
-    return _dataclass_from_config(cfg, "solver")
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -266,10 +244,9 @@ def _resolve(command: str, cfg: dict) -> dict:
         # a contract file carries its own type ladder: no scenario is read
         return run
     section = cfg[command]
-    run["scenario"] = scenario = scenario_from_config(cfg)
-    run["solver"] = solver_from_config(cfg)
+    scenario, split_bytes = scenario_from_config(cfg)
     n, k = scenario.n_eaps, scenario.k_types
-    run["table"] = {"rows": table_rows(n, k), "bytes": split_nbytes(n, k)}
+    run["scenario"], run["table"] = scenario, {"rows": table_rows(n, k), "bytes": split_bytes}
     if command == "sweep":
         lo, hi = gamma_range(scenario)
         section["gamma_min"] = gamma_min = _resolve_gamma(section["gamma_min"], lo, "sweep.gamma_min")
@@ -296,7 +273,7 @@ def _resolve(command: str, cfg: dict) -> dict:
 def _solve_once(run: dict):
     scenario = run["scenario"]
     profile = build_type_ladder(scenario)
-    return profile, solve(profile, run["gamma"], bandwidth_mbps(scenario), scenario.n_eaps, run["solver"])
+    return profile, solve(profile, run["gamma"], bandwidth_mbps(scenario), scenario.n_eaps)
 
 
 def cmd_solve(cfg: dict, run: dict, out_dir: Path, args) -> int:
@@ -324,7 +301,7 @@ def cmd_solve(cfg: dict, run: dict, out_dir: Path, args) -> int:
 def cmd_sweep(cfg: dict, run: dict, out_dir: Path, args) -> int:
     gamma_min, gamma_max, steps = (cfg["sweep"][key] for key in ("gamma_min", "gamma_max", "gamma_steps"))
     try:
-        sweep = run_sweep(run["scenario"], np.linspace(gamma_min, gamma_max, steps), run["solver"])
+        sweep = run_sweep(run["scenario"], np.linspace(gamma_min, gamma_max, steps))
     except SweepError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_SOLVER

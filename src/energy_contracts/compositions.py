@@ -25,6 +25,9 @@ from .market import LN2, TypeProfile
 # Most count vectors a market may have: (20, 8) has 888,030; (10, 20), 20,030,010, is refused. It bounds
 # each rate_terms pass's evaluations, and the oracle's table, which at (10, 20) would take 560 MB.
 MAX_TABLE_ROWS = 10_000_000
+# Most bytes a solve may hold in its split table and K x K Newton Hessian: (2, 4000) and (1, 100000) pass
+# the row budget with a few million rows but need 36 GB and 102 GB, so it refuses them; (20, 8) needs 648 kB.
+MAX_SOLVE_BYTES = 2**29
 _BLOCK_ROWS = 4096  # rows per block of a table's log-factorial sums; bounds their temporaries to rows x K
 _BLOCK_PAIRS = 16_384  # (a, b) pairs per split-table block; bounds each rate_terms pass's temporaries
 
@@ -143,25 +146,35 @@ def _starts(sizes: np.ndarray) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(sizes)])[:-1]
 
 
-def split_rows(n_total: int, k_types: int) -> int:
-    """Rows C(N+m, m) of the composition_table(N, m+1) a split_table reads, m = ceil(K/2), checked
-    with the market's own count vectors against MAX_TABLE_ROWS before anything is allocated
-    (ValueError over it). Only at K=1 is that table the larger: N+1 rows weigh the one count vector."""
+def split_nbytes(n_total: int, k_types: int) -> int:
+    """Bytes a split_table holds with the composition_table it reads, without building either: the
+    table, and in float64 the a's, a weight per a and per b, and when K is odd the b's own counts.
+    Checked before anything is allocated (ValueError over a budget): the market's count vectors
+    and the table's C(N+m, m) rows, m = ceil(K/2), against MAX_TABLE_ROWS, and these bytes with
+    the 8K^2 of the solver's Newton Hessian against MAX_SOLVE_BYTES. Only at K=1 is the table the
+    larger count: N+1 rows weigh the one count vector."""
     table_rows(n_total, k_types)
     m = (k_types + 1) // 2
-    rows = math.comb(n_total + m, m)
-    if rows > MAX_TABLE_ROWS:
+    rows_a, rows_b = math.comb(n_total + m, m), math.comb(n_total + k_types - m, k_types - m)
+    if rows_a > MAX_TABLE_ROWS:
         raise ValueError(
-            f"{n_total} sellers need a split table of {rows:,} rows, "
+            f"{n_total} sellers need a split table of {rows_a:,} rows, "
             f"over the composition table's budget of {MAX_TABLE_ROWS:,} rows"
         )
-    return rows
+    # past the check above, table_rows(N, m+1) = rows_a cannot raise its message of m+1 types
+    nbytes = table_nbytes(n_total, m + 1) + 8 * (rows_a * (m + 1) + rows_b * (1 + (k_types - m) * (k_types % 2)))
+    if (needed := nbytes + 8 * k_types**2) > MAX_SOLVE_BYTES:
+        raise ValueError(
+            f"{n_total} sellers over {k_types} types need {needed:,} bytes of split table "
+            f"and Newton Hessian, over the solve's budget of {MAX_SOLVE_BYTES:,} bytes"
+        )
+    return nbytes
 
 
 def split_table(n_total: int, k_types: int) -> SplitTable:
     """The SplitTable of N sellers over K types, from one composition_table lookup.
-    Markets refused by split_rows raise its ValueError."""
-    split_rows(n_total, k_types)
+    Markets refused by split_nbytes raise its ValueError."""
+    split_nbytes(n_total, k_types)
     m = (k_types + 1) // 2
     types_b = k_types - m
     counts = composition_table(n_total, m + 1)[0]
@@ -188,14 +201,6 @@ def split_table(n_total: int, k_types: int) -> SplitTable:
     a = Group(a_counts, weight_a, _starts(over[m][::-1])[::-1], over[m])
     b = Group(b_counts, weight_b, _starts(over[types_b][::-1]), over[types_b][::-1])
     return SplitTable(a, b)
-
-
-def split_nbytes(n_total: int, k_types: int) -> int:
-    """Bytes a split_table holds with the composition_table it reads, without building either: the
-    table, and in float64 the a's, a weight per a and per b, and when K is odd the b's own counts."""
-    m = (k_types + 1) // 2
-    rows_a, rows_b = split_rows(n_total, k_types), table_rows(n_total, k_types - m + 1)
-    return table_nbytes(n_total, m + 1) + 8 * (rows_a * (m + 1) + rows_b * (1 + (k_types - m) * (k_types % 2)))
 
 
 def _take(group: Group, r: int, g: int, offset: int, width: int) -> tuple[np.ndarray, np.ndarray]:

@@ -16,7 +16,7 @@ import numpy as np
 from . import baselines
 from .compositions import expected_social_welfare
 from .market import Contract, TypeProfile
-from .solver import SolveResult, SolverConfig, solve
+from .solver import SolveResult, solve
 
 # q is carried in mW or uW; theta scales with the square of the power unit
 # and the SNR slope with its inverse, leaving every utility invariant.
@@ -77,7 +77,7 @@ class ScenarioConfig:
         gamma_range(self)
 
 
-def channel_gain(distance_m: float, alpha: float = 2.0, ref_atten_db: float = 30.0) -> float:
+def channel_gain(distance_m: float, alpha: float, ref_atten_db: float) -> float:
     """Log-distance path loss: 10^(-ref/10) * d^(-alpha).
 
     The reference attenuation is taken at 1 m; the model is invalid closer in.
@@ -181,11 +181,7 @@ class SweepResult:
         ]
 
 
-def run_sweep(
-    cfg: ScenarioConfig,
-    gamma_grid=None,
-    solver_cfg: SolverConfig | None = None,
-) -> SweepResult:
+def run_sweep(cfg: ScenarioConfig, gamma_grid=None) -> SweepResult:
     """Solve all three mechanisms at every grid point.
 
     Grid points must be positive. Every solve starts from its own mean-field
@@ -205,7 +201,7 @@ def run_sweep(
     linear_w = np.empty(grid.size)
     results: list[SolveResult] = []
     for i, gamma in enumerate(grid):
-        res = solve(profile, gamma, w, n, solver_cfg)
+        res = solve(profile, gamma, w, n)
         if not res.converged:
             raise SweepError(gamma, f"solver stopped at residual {res.kkt_residual:g}")
         if not res.monotone:

@@ -26,24 +26,8 @@ _TO_BOUNDARY = 0.995  # a cut step travels this fraction of the way to q_k = 0
 _RESOLUTION = 1e-13  # relative float resolution of the objective's two parts
 _STEP_RTOL = 1e-10  # at convergence the Newton step moves each q_k by less than this fraction
 _MIN_STEP = 1e-20  # the line search accepts whatever step it has reached below this
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Iteration controls for the damped Newton ascent.
-
-    grad_tol:  stop when the gradient norm falls below this (and the Newton step is negligible)
-    max_iters: hard iteration cap
-    """
-
-    grad_tol: float = 1e-8
-    max_iters: int = 10_000
-
-    def __post_init__(self):
-        if not (math.isfinite(self.grad_tol) and self.grad_tol > 0.0):
-            raise ValueError(f"grad_tol must be positive and finite, got {self.grad_tol}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+_GRAD_TOL = 1e-8  # at convergence the gradient norm is at most this
+_MAX_ITERS = 10_000  # a solve that has not converged after this many Newton steps stops and says so
 
 
 @dataclass(frozen=True)
@@ -164,13 +148,7 @@ def _is_nondecreasing(values: np.ndarray) -> bool:
     return bool(np.all(np.diff(values) >= -_MONO_RTOL * (scale + 1e-300)))
 
 
-def solve(
-    profile: TypeProfile,
-    gamma: float,
-    bandwidth_w: float,
-    n_total: int,
-    cfg: SolverConfig | None = None,
-) -> SolveResult:
+def solve(profile: TypeProfile, gamma: float, bandwidth_w: float, n_total: int) -> SolveResult:
     """Maximize the reduced objective and recover rewards.
 
     Damped Newton (Boyd & Vandenberghe, Convex Optimization, 9.5): each step
@@ -179,16 +157,15 @@ def solve(
     a fraction of the way to the boundary, so every iterate stays positive.
     Once the Newton decrement is below the float resolution of the objective
     the step is taken as-is, since the line search can no longer tell gains
-    from rounding. The solve stops when the gradient norm is at most grad_tol
+    from rounding. The solve stops when the gradient norm is at most _GRAD_TOL
     and the Newton step would move no q_k by more than _STEP_RTOL of its
     value. The second condition pins q where the first cannot: at tiny gamma
-    every gradient term is below grad_tol wherever q is.
+    every gradient term is below _GRAD_TOL wherever q is.
 
     Monotonicity of the recovered menu is verified, not assumed: a violation
     (possible only off the uniform-type assumption) is flagged in the result
     rather than clamped away.
     """
-    cfg = cfg or SolverConfig()
     k = profile.k
     if n_total == 0:
         contract = Contract.from_arrays(np.zeros(k), np.zeros(k))
@@ -203,15 +180,15 @@ def solve(
 
     rate, quad = problem.parts(q)
     converged = False
-    for iterations in range(cfg.max_iters + 1):
+    for iterations in range(_MAX_ITERS + 1):
         grad, hess = problem.newton_system(q)
         residual = float(np.linalg.norm(grad))
         step = np.linalg.solve(-hess, grad)
         # an infinite rate (gamma n.q overflowed) is no optimum, whatever the gradient says
-        if residual <= cfg.grad_tol and np.all(np.abs(step) <= _STEP_RTOL * q) and math.isfinite(rate):
+        if residual <= _GRAD_TOL and np.all(np.abs(step) <= _STEP_RTOL * q) and math.isfinite(rate):
             converged = True
             break
-        if iterations == cfg.max_iters:
+        if iterations == _MAX_ITERS:
             break
         decrement = float(grad @ step)  # lambda^2
         crossing = q + step <= 0.0

@@ -10,19 +10,17 @@ from pathlib import Path
 import pytest
 from scipy.optimize import brentq
 
-from energy_contracts import ScenarioConfig, SolverConfig, __version__, cli, composition_table, default_gamma_grid
+from energy_contracts import ScenarioConfig, __version__, cli, composition_table, default_gamma_grid, solver
 from energy_contracts.cli import (
     CONTRACT_COLUMNS,
     CURVE_COLUMNS,
     SWEEP_COLUMNS,
     ConfigError,
-    default_config,
     load_config,
     main,
     read_contract_csv,
     resolve_config,
     scenario_from_config,
-    solver_from_config,
 )
 from energy_contracts.feasibility import DEFAULT_TOL
 
@@ -47,7 +45,7 @@ class TestConfigHandling:
         assert cfg["sweep"]["gamma_steps"] == 9
 
     def test_missing_scenario_section(self, tmp_path):
-        path = write_config(tmp_path, {"solver": {}})
+        path = write_config(tmp_path, {"solve": {}})
         with pytest.raises(ConfigError, match="scenario"):
             resolve_config(load_config(path))
 
@@ -108,13 +106,6 @@ class TestConfigHandling:
         assert "solve.tol" in capsys.readouterr().err
         assert not (tmp_path / "out").exists() and not (tmp_path / "v").exists()
 
-    def test_nan_grad_tol_is_a_config_error(self, tmp_path, capsys):
-        path = write_config(tmp_path, {"scenario": {"n_eaps": 2, "k_types": 5}, "solver": {"grad_tol": math.nan}})
-        out = tmp_path / "out"
-        assert main(["solve", "--config", path, "--out", str(out)]) == 1
-        assert "grad_tol" in capsys.readouterr().err
-        assert not out.exists()
-
     @pytest.mark.parametrize(
         "command, section, key, value",
         [
@@ -123,9 +114,6 @@ class TestConfigHandling:
             ("solve", "scenario", "n_eaps", 2.7),
             ("solve", "scenario", "k_types", True),
             ("solve", "scenario", "rng_seed", "7"),
-            ("solve", "solver", "max_iters", False),
-            ("solve", "solver", "max_iters", 10.5),
-            ("solve", "solver", "max_iters", math.nan),
         ],
     )
     def test_non_integer_field_is_a_config_error(self, tmp_path, capsys, command, section, key, value):
@@ -143,19 +131,21 @@ class TestConfigHandling:
         assert main(["solve", "--config", path, "--out", str(out)]) == 0
         assert len(read_rows(out / "contract.csv")) == 5
 
-    def test_retired_backtrack_keys_are_unknown_fields(self, tmp_path, capsys):
-        # removed in 0.2.0 with the gradient-ascent line search they tuned
-        for key, value in (("backtrack_beta", 0.5), ("backtrack_c", 1e-4)):
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    def test_retired_solver_keys_are_an_unknown_section(self, tmp_path, capsys, command):
+        # backtrack_* went in 0.2.0 with the line search they tuned, init_q in 0.3.0 for the mean-field
+        # start, and in 0.4.0 the section itself: the Newton stopping rule is the solver's constants
+        retired = {"backtrack_beta": 0.5, "backtrack_c": 1e-4, "init_q": [1.0] * 5, "grad_tol": 1e-6, "max_iters": 50}
+        for key, value in retired.items():
             path = write_config(tmp_path, {"scenario": {"n_eaps": 2, "k_types": 5}, "solver": {key: value}})
             out = tmp_path / key
-            assert main(["solve", "--config", path, "--out", str(out)]) == 1
-            assert capsys.readouterr().err == f"config error: unknown field 'solver.{key}'\n"
+            assert main([command, "--config", path, "--out", str(out)]) == 1
+            assert capsys.readouterr().err == "config error: unknown section 'solver'\n"
             assert not out.exists()
 
     def test_defaults_come_from_the_dataclasses(self):
         cfg = resolve_config(None)
-        assert scenario_from_config(cfg) == ScenarioConfig()
-        assert solver_from_config(cfg) == SolverConfig()
+        assert scenario_from_config(cfg)[0] == ScenarioConfig()
         assert cfg["solve"]["tol"] == DEFAULT_TOL
         assert cfg["sweep"]["gamma_steps"] == inspect.signature(default_gamma_grid).parameters["steps"].default
 
@@ -213,15 +203,6 @@ class TestConfigHandling:
         assert "config error:" in err and (named or field) in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["solve", "sweep"])
-    def test_retired_init_q_is_an_unknown_field(self, tmp_path, capsys, command):
-        # removed in 0.3.0: every solve starts at the mean-field point
-        path = write_config(tmp_path, {"scenario": {"n_eaps": 2, "k_types": 5}, "solver": {"init_q": [1.0] * 5}})
-        out = tmp_path / "out"
-        assert main([command, "--config", path, "--out", str(out)]) == 1
-        assert capsys.readouterr().err == "config error: unknown field 'solver.init_q'\n"
-        assert not out.exists()
-
     @pytest.mark.parametrize(
         "argv, config, named",
         [
@@ -251,6 +232,24 @@ class TestConfigHandling:
         assert not out.exists()
         assert composition_table.cache_info().misses == 0
         assert peak < 1e6
+
+    @pytest.mark.parametrize("n, k", [(2, 4000), (1, 100_000)])
+    def test_wide_market_refused_before_allocating(self, tmp_path, capsys, n, k):
+        # a few million split-table rows, but tens of GB of them and of the K x K Newton Hessian
+        path = write_config(tmp_path, {"scenario": {"n_eaps": n, "k_types": k}})
+        out = tmp_path / "out"
+        composition_table.cache_clear()
+        tracemalloc.start()
+        try:
+            assert main(["solve", "--config", path, "--out", str(out)]) == 1
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Newton Hessian" in err
+        assert not out.exists()
+        assert composition_table.cache_info()[:2] == (0, 0)  # no hits, no misses
+        assert peak < 10e6  # the ladder of 100,000 types alone takes 7.2 MB
 
 
 class TestSolveCommand:
@@ -366,7 +365,7 @@ class TestSweepCommand:
         for record in records:
             assert record["converged"] is True
             assert record["iterations"] >= 1
-            assert 0.0 <= record["kkt_residual"] <= default_config()["solver"]["grad_tol"]
+            assert 0.0 <= record["kkt_residual"] <= solver._GRAD_TOL
 
     def test_bad_range_rejected(self, tmp_path, capsys):
         code = main(
@@ -375,14 +374,10 @@ class TestSweepCommand:
         assert code == 1
         assert "gamma range" in capsys.readouterr().err
 
-    def test_solver_failure_exit_code(self, tmp_path, capsys):
-        cfg = write_config(
-            tmp_path,
-            {
-                "scenario": {"n_eaps": 2, "k_types": 5},
-                "solver": {"grad_tol": 1e-14, "max_iters": 1},
-            },
-        )
+    def test_solver_failure_exit_code(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(solver, "_GRAD_TOL", 1e-14)
+        monkeypatch.setattr(solver, "_MAX_ITERS", 1)
+        cfg = write_config(tmp_path, {"scenario": {"n_eaps": 2, "k_types": 5}})
         out = tmp_path / "x"
         # 10^2 and 10^4 times the reference gamma 0.125 take 3 and 5 iterations from the mean-field start
         args = ["--gamma-min", "12.5", "--gamma-max", "1250", "--gamma-steps", "2"]

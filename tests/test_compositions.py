@@ -362,6 +362,28 @@ class TestSplitTable:
         held += split.b.counts.nbytes if k % 2 else 0
         assert nbytes == held + counts.nbytes + probs.nbytes
 
+    @pytest.mark.parametrize(
+        "n, k, nbytes", [(9_999_999, 2, 400_000_000), (4470, 3, 379_963_464), (20, 8, 648_186), (10, 10, 210_210)]
+    )
+    def test_largest_markets_fit_the_byte_budget(self, n, k, nbytes):
+        # the two widest tables the row budget admits, and the benchmark's markets
+        assert compositions.split_nbytes(n, k) == nbytes
+        assert nbytes + 8 * k * k <= compositions.MAX_SOLVE_BYTES
+
+    @pytest.mark.parametrize("n, k, needed", [(2, 4000, "36,232,093,025"), (1, 100_000, "102,501,700,025")])
+    def test_wide_market_refused_before_allocating(self, n, k, needed):
+        # within the row budget, but the split table and the K x K Newton Hessian would take tens of GB
+        composition_table.cache_clear()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"{needed} bytes"):
+                compositions.split_table(n, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert composition_table.cache_info()[:2] == (0, 0)
+        assert peak < 100_000
+
     def test_block_bound(self, monkeypatch):
         monkeypatch.setattr(compositions, "_BLOCK_PAIRS", 7)
         blocks = list(compositions._split_blocks(compositions.split_table(9, 6)))

@@ -3,7 +3,6 @@ import pytest
 
 from energy_contracts import (
     ScenarioConfig,
-    SolverConfig,
     SweepError,
     bandwidth_mbps,
     build_type_ladder,
@@ -15,23 +14,28 @@ from energy_contracts import (
     reference_gamma,
     run_sweep,
     solve,
+    solver,
     utility_curves,
 )
+
+# the path loss of the reference setup: exponent 2, 30 dB at 1 m
+PATH_LOSS = (ScenarioConfig().path_loss_alpha, ScenarioConfig().ref_atten_db)
+
 
 class TestChannelGain:
     def test_reference_distance(self):
         # 30 dB attenuation at 1 m
-        assert channel_gain(1.0) == pytest.approx(1e-3, rel=1e-12)
+        assert channel_gain(1.0, *PATH_LOSS) == pytest.approx(1e-3, rel=1e-12)
 
     def test_ten_meters(self):
-        assert channel_gain(10.0) == pytest.approx(1e-5, rel=1e-12)
+        assert channel_gain(10.0, *PATH_LOSS) == pytest.approx(1e-5, rel=1e-12)
 
     def test_five_meters(self):
-        assert channel_gain(5.0) == pytest.approx(4e-5, rel=1e-12)
+        assert channel_gain(5.0, *PATH_LOSS) == pytest.approx(4e-5, rel=1e-12)
 
     def test_inside_reference_rejected(self):
         with pytest.raises(ValueError):
-            channel_gain(0.5)
+            channel_gain(0.5, *PATH_LOSS)
 
 
 class TestTypeLadder:
@@ -77,7 +81,7 @@ class TestGammaRange:
 
     def test_reference_gamma_is_midpoint_distance(self):
         cfg = ScenarioConfig(power_unit="mW")
-        assert reference_gamma(cfg) == pytest.approx(0.5 * channel_gain(20.0) / 1e-8, rel=1e-12)
+        assert reference_gamma(cfg) == pytest.approx(0.5 * channel_gain(20.0, *PATH_LOSS) / 1e-8, rel=1e-12)
 
     def test_bandwidth_reported_in_mbps_units(self):
         assert bandwidth_mbps(ScenarioConfig()) == 1.0
@@ -182,7 +186,7 @@ class TestRunSweep:
         assert run_sweep(ScenarioConfig(), [1e-150]).welfare_linear[0] > 0.0
 
     def test_tiny_gamma_menu_stays_between_the_baselines(self):
-        # At these gammas every gradient term is below grad_tol wherever q is,
+        # At these gammas every gradient term is below _GRAD_TOL wherever q is,
         # so the gradient norm alone does not pin the menu: a solve stopped on
         # it alone returned q = 0 at 1e-20, and at 1e-12 kept the 1e-20 menu
         # it was warm-started from (contract welfare below uniform pricing)
@@ -208,13 +212,14 @@ class TestRunSweep:
         np.testing.assert_array_equal(sweep.normalized_contract, np.ones(2))
         np.testing.assert_array_equal(sweep.normalized_linear, np.ones(2))
 
-    def test_solver_failure_aborts_with_gamma(self):
+    def test_solver_failure_aborts_with_gamma(self, monkeypatch):
         # from the mean-field start, 10^2 times the reference takes 3 iterations
         cfg = ScenarioConfig()
         grid = np.array([1e2, 1e3, 1e4]) * reference_gamma(cfg)
-        starved = SolverConfig(grad_tol=1e-14, max_iters=1)
+        monkeypatch.setattr(solver, "_GRAD_TOL", 1e-14)
+        monkeypatch.setattr(solver, "_MAX_ITERS", 1)
         with pytest.raises(SweepError) as excinfo:
-            run_sweep(cfg, grid, starved)
+            run_sweep(cfg, grid)
         assert excinfo.value.gamma == pytest.approx(grid[0])
 
     def test_points_solve_independently(self):

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import math
 import tracemalloc
 from pathlib import Path
@@ -13,7 +12,6 @@ from scipy.optimize import brentq
 from energy_contracts import (
     ScenarioConfig,
     TypeProfile,
-    SolverConfig,
     bandwidth_mbps,
     build_type_ladder,
     composition_table,
@@ -26,6 +24,7 @@ from energy_contracts import (
     solve,
 )
 from energy_contracts import compositions as compositions_module
+from energy_contracts import solver as solver_module
 from energy_contracts.solver import _ReducedProblem
 
 LN2 = math.log(2.0)
@@ -239,10 +238,9 @@ class TestSolve:
             assert res.objective >= 0.0
 
     def test_kkt_residual_under_tolerance(self):
-        cfg = SolverConfig(grad_tol=1e-8)
-        res = solve(TypeProfile((0.5, 1.0, 2.0)), 1.2, 1.0, 3, cfg)
+        res = solve(TypeProfile((0.5, 1.0, 2.0)), 1.2, 1.0, 3)
         assert res.converged
-        assert res.kkt_residual <= cfg.grad_tol
+        assert res.kkt_residual <= solver_module._GRAD_TOL
         assert res.monotone
 
     def test_local_optimality_spot_check(self):
@@ -269,7 +267,7 @@ class TestSolve:
         cfg = ScenarioConfig(n_eaps=5, k_types=6)
         res = solve(build_type_ladder(cfg), multiple * reference_gamma(cfg), bandwidth_mbps(cfg), 5)
         assert res.converged
-        assert res.kkt_residual <= SolverConfig().grad_tol
+        assert res.kkt_residual <= solver_module._GRAD_TOL
         assert res.contract.qs.min() > 0.0
         assert res.monotone
         assert res.iterations <= 30
@@ -302,19 +300,21 @@ class TestSolve:
         np.testing.assert_array_equal(res.contract.qs, np.zeros(5))
         np.testing.assert_array_equal(res.contract.pis, np.zeros(5))
 
-    def test_overflowing_rate_is_not_converged(self):
+    def test_overflowing_rate_is_not_converged(self, monkeypatch):
         # at gamma 1e308 and W = 1000, gamma n.q overflows at the mean-field start: the
         # rate is infinite and its gradient vanishes, which is no optimum
         cfg = ScenarioConfig(bandwidth_hz=1e9)
+        monkeypatch.setattr(solver_module, "_MAX_ITERS", 50)
         with np.errstate(over="ignore"):
-            res = solve(build_type_ladder(cfg), 1e308, bandwidth_mbps(cfg), 2, SolverConfig(max_iters=50))
+            res = solve(build_type_ladder(cfg), 1e308, bandwidth_mbps(cfg), 2)
         assert not res.converged
 
-    def test_iteration_cap_flags_nonconvergence(self):
+    def test_iteration_cap_flags_nonconvergence(self, monkeypatch):
         # N=3, K=2 at 10^4 times the reference takes 6 iterations from the mean-field start
         scenario = ScenarioConfig(n_eaps=3, k_types=2)
-        cfg = SolverConfig(grad_tol=1e-14, max_iters=1)
-        res = solve(build_type_ladder(scenario), 1e4 * reference_gamma(scenario), bandwidth_mbps(scenario), 3, cfg)
+        monkeypatch.setattr(solver_module, "_GRAD_TOL", 1e-14)
+        monkeypatch.setattr(solver_module, "_MAX_ITERS", 1)
+        res = solve(build_type_ladder(scenario), 1e4 * reference_gamma(scenario), bandwidth_mbps(scenario), 3)
         assert not res.converged
         assert res.iterations == 1
 
@@ -359,27 +359,3 @@ class TestMemory:
             tracemalloc.stop()
         assert peak < 3e6
 
-
-class TestSolverConfig:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"grad_tol": 0.0},
-            {"max_iters": 0},
-            {"grad_tol": math.nan},
-            {"grad_tol": math.inf},
-        ],
-    )
-    def test_invalid_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            SolverConfig(**kwargs)
-
-    def test_line_search_keys_are_gone(self):
-        with pytest.raises(TypeError):
-            SolverConfig(backtrack_beta=0.5)
-
-    def test_start_is_not_configurable(self):
-        # removed in 0.3.0: the objective is strictly concave, so a start changes only the iteration count
-        with pytest.raises(TypeError):
-            SolverConfig(init_q=(0.9, 0.9, 0.9))
-        assert [f.name for f in dataclasses.fields(SolverConfig)] == ["grad_tol", "max_iters"]
