@@ -131,17 +131,30 @@ class TestConfigHandling:
         assert main(["solve", "--config", path, "--out", str(out)]) == 0
         assert len(read_rows(out / "contract.csv")) == 5
 
+    @staticmethod
+    def _assert_solver_section_refused(tmp_path, capsys, command, key, value):
+        # since 0.4.0 the whole section is unknown, whatever retired key it holds
+        path = write_config(tmp_path, {"scenario": {"n_eaps": 2, "k_types": 5}, "solver": {key: value}})
+        out = tmp_path / key
+        assert main([command, "--config", path, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "config error: unknown section 'solver'\n"
+        assert not out.exists()
+
+    def test_retired_backtrack_keys_are_unknown_fields(self, tmp_path, capsys):
+        # removed in 0.2.0 with the gradient-ascent line search they tuned
+        for key, value in (("backtrack_beta", 0.5), ("backtrack_c", 1e-4)):
+            self._assert_solver_section_refused(tmp_path, capsys, "solve", key, value)
+
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    def test_retired_init_q_is_an_unknown_field(self, tmp_path, capsys, command):
+        # removed in 0.3.0: every solve starts at the mean-field point
+        self._assert_solver_section_refused(tmp_path, capsys, command, "init_q", [1.0] * 5)
+
     @pytest.mark.parametrize("command", ["solve", "sweep"])
     def test_retired_solver_keys_are_an_unknown_section(self, tmp_path, capsys, command):
-        # backtrack_* went in 0.2.0 with the line search they tuned, init_q in 0.3.0 for the mean-field
-        # start, and in 0.4.0 the section itself: the Newton stopping rule is the solver's constants
-        retired = {"backtrack_beta": 0.5, "backtrack_c": 1e-4, "init_q": [1.0] * 5, "grad_tol": 1e-6, "max_iters": 50}
-        for key, value in retired.items():
-            path = write_config(tmp_path, {"scenario": {"n_eaps": 2, "k_types": 5}, "solver": {key: value}})
-            out = tmp_path / key
-            assert main([command, "--config", path, "--out", str(out)]) == 1
-            assert capsys.readouterr().err == "config error: unknown section 'solver'\n"
-            assert not out.exists()
+        # removed in 0.4.0 with the section: the Newton stopping rule is the solver's constants
+        for key, value in (("grad_tol", 1e-6), ("max_iters", 50)):
+            self._assert_solver_section_refused(tmp_path, capsys, command, key, value)
 
     def test_defaults_come_from_the_dataclasses(self):
         cfg = resolve_config(None)
