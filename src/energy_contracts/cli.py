@@ -6,6 +6,12 @@ tables (full round-trip float precision) plus a JSON manifest that echoes the
 fully resolved configuration.
 
 Exit codes: 0 success, 1 config error, 2 solver failure, 3 feasibility failure.
+
+Only numpy-free modules are imported here, so verify, --help and a config
+refused before the market is sized load no numpy: the commands that sum an
+expectation import the solver, the sweep and the table budget where they use
+them. solve, run_sweep and verify_contract are looked up in their modules at
+call time, so a wrapper set there sees every call.
 """
 
 from __future__ import annotations
@@ -20,11 +26,8 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
-from . import __version__
-from .compositions import split_nbytes, table_rows
-from .feasibility import DEFAULT_TOL, verify_contract
+from . import __version__, feasibility
+from .feasibility import DEFAULT_TOL
 from .market import Contract, TypeProfile
 from .scenario import (
     DEFAULT_GAMMA_STEPS,
@@ -36,10 +39,8 @@ from .scenario import (
     check_probe_types,
     gamma_range,
     reference_gamma,
-    run_sweep,
     utility_curves,
 )
-from .solver import solve
 
 ENV_OUT_DIR = "ENERGY_CONTRACTS_OUTDIR"
 
@@ -150,10 +151,11 @@ def _positive_finite(value, name: str) -> float:
     return number
 
 
-def scenario_from_config(cfg: dict) -> tuple[ScenarioConfig, int]:
-    """The scenario, each value converted by the type of its field's default, and the bytes of the
-    split table that weighs its count vectors. Refused when they are over split_nbytes's budgets:
-    every command but verify sums over them."""
+def scenario_from_config(cfg: dict) -> tuple[ScenarioConfig, dict]:
+    """The scenario, each value converted by the type of its field's default, and its table record:
+    the count vectors an expectation pass sums ("rows") and the bytes of the split table that weighs
+    them ("bytes"). Refused when they are over split_nbytes's budgets: every command but verify sums
+    over them. The budgets are checked before the scenario is built, which forms the K-type ladder."""
     values = {}
     try:
         for f in dataclasses.fields(ScenarioConfig):
@@ -162,8 +164,11 @@ def scenario_from_config(cfg: dict) -> tuple[ScenarioConfig, int]:
                 values[f.name] = _config_int(value, f"scenario.{f.name}")
             else:
                 values[f.name] = type(f.default)(value)
-        scenario = ScenarioConfig(**values)
-        return scenario, split_nbytes(scenario.n_eaps, scenario.k_types)
+        from .compositions import split_nbytes, table_rows
+
+        n, k = values["n_eaps"], values["k_types"]
+        table = {"rows": table_rows(n, k), "bytes": split_nbytes(n, k)}
+        return ScenarioConfig(**values), table
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid scenario: {exc}") from exc
 
@@ -177,7 +182,7 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def _fmt(cell) -> str:
-    if isinstance(cell, (float, np.floating)):
+    if isinstance(cell, float):
         return repr(float(cell))
     return str(cell)
 
@@ -244,9 +249,8 @@ def _resolve(command: str, cfg: dict) -> dict:
         # a contract file carries its own type ladder: no scenario is read
         return run
     section = cfg[command]
-    scenario, split_bytes = scenario_from_config(cfg)
-    n, k = scenario.n_eaps, scenario.k_types
-    run["scenario"], run["table"] = scenario, {"rows": table_rows(n, k), "bytes": split_bytes}
+    scenario, run["table"] = scenario_from_config(cfg)
+    run["scenario"] = scenario
     if command == "sweep":
         lo, hi = gamma_range(scenario)
         section["gamma_min"] = gamma_min = _resolve_gamma(section["gamma_min"], lo, "sweep.gamma_min")
@@ -259,6 +263,7 @@ def _resolve(command: str, cfg: dict) -> dict:
         return run
     run["gamma"] = section["gamma"] = _resolve_gamma(section["gamma"], reference_gamma(scenario), f"{command}.gamma")
     if command == "curves":
+        k = scenario.k_types
         probes = list(range(1, k + 1)) if section["probe_types"] is None else section["probe_types"]
         if not isinstance(probes, list):
             raise ConfigError(f"curves.probe_types must be a list of type indices, got {probes!r}")
@@ -271,6 +276,8 @@ def _resolve(command: str, cfg: dict) -> dict:
 
 
 def _solve_once(run: dict):
+    from .solver import solve
+
     scenario = run["scenario"]
     profile = build_type_ladder(scenario)
     return profile, solve(profile, run["gamma"], bandwidth_mbps(scenario), scenario.n_eaps)
@@ -278,7 +285,7 @@ def _solve_once(run: dict):
 
 def cmd_solve(cfg: dict, run: dict, out_dir: Path, args) -> int:
     profile, result = _solve_once(run)
-    report = verify_contract(result.contract, profile, run["tol"])
+    report = feasibility.verify_contract(result.contract, profile, run["tol"])
     record = _solve_record(run["gamma"], result)
     payload = report.to_dict()
     payload["solver"] = {**record, "objective": result.objective, "monotone": result.monotone}
@@ -299,6 +306,10 @@ def cmd_solve(cfg: dict, run: dict, out_dir: Path, args) -> int:
 
 
 def cmd_sweep(cfg: dict, run: dict, out_dir: Path, args) -> int:
+    import numpy as np
+
+    from .scenario import run_sweep
+
     gamma_min, gamma_max, steps = (cfg["sweep"][key] for key in ("gamma_min", "gamma_max", "gamma_steps"))
     try:
         sweep = run_sweep(run["scenario"], np.linspace(gamma_min, gamma_max, steps))
@@ -362,7 +373,10 @@ def read_contract_csv(path: str | Path) -> tuple[TypeProfile, Contract]:
 
 def cmd_verify(cfg: dict, run: dict, out_dir: Path, args) -> int:
     profile, contract = read_contract_csv(args.contract)
-    report = verify_contract(contract, profile, run["tol"])
+    report = feasibility.verify_contract(contract, profile, run["tol"])
+    slacks = (*report.ir_slacks, *(s for row in report.ic_slack_matrix for s in row))
+    if not all(map(math.isfinite, slacks)):
+        raise ConfigError(f"{args.contract}: the menu's utilities overflow a float, so its slacks are not finite")
     files = {"feasibility.json": report.to_dict()}
     _write_outputs(out_dir, "verify", cfg, files, {"contract_path": str(args.contract)})
     if not report.feasible:

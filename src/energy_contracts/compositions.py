@@ -34,17 +34,25 @@ _BLOCK_PAIRS = 16_384  # (a, b) pairs per split-table block; bounds each rate_te
 
 def table_rows(n_total: int, k_types: int) -> int:
     """Row count C(N+K-1, K-1) of the composition table, checked against
-    MAX_TABLE_ROWS before anything is allocated (ValueError over it)."""
+    MAX_TABLE_ROWS before anything is allocated (ValueError over it).
+
+    The count is C(N+K-1, j), j = min(N, K-1), reached through C(b+i, i),
+    i = 1..j, b = N+K-1-j, and the product stops once it passes the budget.
+    As b >= j, each factor (b+i)/i at least doubles it: a huge market is
+    refused within 24 steps, before its exact count is formed."""
     if k_types < 1:
         raise ValueError(f"k_types must be at least 1, got {k_types}")
     if n_total < 0:
         raise ValueError(f"n_total must be nonnegative, got {n_total}")
-    rows = math.comb(n_total + k_types - 1, k_types - 1)
-    if rows > MAX_TABLE_ROWS:
-        raise ValueError(
-            f"{n_total} sellers over {k_types} types make {rows:,} count vectors, "
-            f"over the composition table's budget of {MAX_TABLE_ROWS:,} rows"
-        )
+    j = min(n_total, k_types - 1)
+    b, rows = n_total + k_types - 1 - j, 1
+    for i in range(1, j + 1):
+        rows = rows * (b + i) // i  # C(b+i, i), exactly
+        if rows > MAX_TABLE_ROWS:
+            raise ValueError(
+                f"{n_total} sellers over {k_types} types make more than {MAX_TABLE_ROWS:,} count vectors, "
+                f"the composition table's budget (at least {rows:,})"
+            )
     return rows
 
 

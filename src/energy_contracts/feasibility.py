@@ -3,75 +3,77 @@
 Everything here checks the full constraint set by direct evaluation, without
 trusting the constraint reductions used inside the solver: all K
 participation slacks, the complete K x K truth-telling matrix, menu
-monotonicity, and the self-reveal property. A brute-force grid oracle bounds
-the solver's optimality gap on small instances.
+monotonicity, and the self-reveal property. The checks are closed-form
+algebra on the menu, computed in plain floats, so verify loads no numpy;
+q*q, not q**2, rounds exactly as numpy's square does and gives inf rather
+than OverflowError. A brute-force grid oracle bounds the solver's optimality
+gap on small instances.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .market import LN2, Contract, TypeProfile
-from .solver import reduced_objective, reward_recovery
 
 DEFAULT_TOL = 1e-9
 
 
-def check_ir(contract: Contract, profile: TypeProfile) -> np.ndarray:
+def _matched(contract: Contract, profile: TypeProfile) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The menu's (q, pi), checked to have one item per type (ValueError otherwise)."""
+    if len(contract) != profile.k:
+        raise ValueError("contract length does not match the type ladder")
+    return tuple(item.q for item in contract.items), tuple(item.pi for item in contract.items)
+
+
+def check_ir(contract: Contract, profile: TypeProfile) -> tuple[float, ...]:
     """Participation slacks pi_k - q_k^2/theta_k, one per type.
 
     Nonnegative (within tolerance) means every participating seller at least
     breaks even.
     """
-    if len(contract) != profile.k:
-        raise ValueError("contract length does not match the type ladder")
-    q = contract.qs
-    return contract.pis - q * q / profile.as_array()
+    qs, pis = _matched(contract, profile)
+    return tuple(pi - q * q / theta for q, pi, theta in zip(qs, pis, profile.thetas))
 
 
-def check_ic(contract: Contract, profile: TypeProfile) -> np.ndarray:
-    """Truth-telling slack matrix.
+def check_ic(contract: Contract, profile: TypeProfile) -> tuple[tuple[float, ...], ...]:
+    """Truth-telling slack matrix, one row per type.
 
-    Entry [k, j] is the utility a type-k seller loses by taking item j
+    Entry [k][j] is the utility a type-k seller loses by taking item j
     instead of its own: (pi_k - q_k^2/theta_k) - (pi_j - q_j^2/theta_k).
     The diagonal is identically zero; nonnegative off-diagonal entries mean
     no seller gains by imitating another type.
     """
-    if len(contract) != profile.k:
-        raise ValueError("contract length does not match the type ladder")
-    q = contract.qs
-    pi = contract.pis
-    thetas = profile.as_array()
-    # utilities[k, j]: type k's utility under item j
-    utilities = pi[None, :] - q[None, :] ** 2 / thetas[:, None]
-    return np.diagonal(utilities)[:, None] - utilities
+    qs, pis = _matched(contract, profile)
+    rows = []
+    for k, theta in enumerate(profile.thetas):
+        utilities = [pi - q * q / theta for q, pi in zip(qs, pis)]  # type k's utility under each item
+        rows.append(tuple(utilities[k] - u for u in utilities))
+    return tuple(rows)
 
 
-def check_self_reveal(contract: Contract, profile: TypeProfile, tol: float = DEFAULT_TOL) -> np.ndarray:
+def check_self_reveal(contract: Contract, profile: TypeProfile, tol: float = DEFAULT_TOL) -> tuple[bool, ...]:
     """Per-type flag: does each type's own item maximize its utility?
 
     Ties within tol count in favor of the designated item; the binding
     adjacent indifference of an optimal menu makes exact ties legitimate.
     """
-    slacks = check_ic(contract, profile)
-    return slacks.min(axis=1) >= -tol
+    return tuple(all(s >= -tol for s in row) for row in check_ic(contract, profile))
 
 
-def _nondecreasing(values: np.ndarray, tol: float) -> bool:
-    return bool(values.size == 0 or np.all(np.diff(values) >= -tol))
+def _nondecreasing(values: tuple[float, ...], tol: float) -> bool:
+    return all(b - a >= -tol for a, b in zip(values, values[1:]))
 
 
 @dataclass(frozen=True)
 class FeasibilityReport:
     """Structured verdict over one menu, serializable for the CLI."""
 
-    ir_slacks: np.ndarray
-    ic_slack_matrix: np.ndarray
+    ir_slacks: tuple[float, ...]
+    ic_slack_matrix: tuple[tuple[float, ...], ...]
     monotone_q: bool
     monotone_pi: bool
-    self_reveal: np.ndarray
+    self_reveal: tuple[bool, ...]
     min_slack: float
     feasible: bool
     tol: float
@@ -83,9 +85,9 @@ class FeasibilityReport:
             "min_slack": self.min_slack,
             "monotone_q": self.monotone_q,
             "monotone_pi": self.monotone_pi,
-            "self_reveal": [bool(b) for b in self.self_reveal],
-            "ir_slacks": [float(s) for s in self.ir_slacks],
-            "ic_slack_matrix": [[float(s) for s in row] for row in self.ic_slack_matrix],
+            "self_reveal": list(self.self_reveal),
+            "ir_slacks": list(self.ir_slacks),
+            "ic_slack_matrix": [list(row) for row in self.ic_slack_matrix],
         }
 
 
@@ -93,21 +95,22 @@ def verify_contract(contract: Contract, profile: TypeProfile, tol: float = DEFAU
     """Run every check and aggregate the worst violation.
 
     Feasible means all participation slacks and all off-diagonal
-    truth-telling slacks are >= -tol.
+    truth-telling slacks are >= -tol. The worst is the first smallest, the
+    participation slacks read first and then the matrix by rows.
     """
     ir = check_ir(contract, profile)
     ic = check_ic(contract, profile)
-    off_diag = ic[~np.eye(profile.k, dtype=bool)] if profile.k > 1 else np.array([])
-    min_slack = float(min(ir.min(), off_diag.min() if off_diag.size else np.inf))
-    feasible = min_slack >= -tol
+    off_diag = (s for k, row in enumerate(ic) for j, s in enumerate(row) if j != k)
+    min_slack = min((*ir, *off_diag))
+    qs, pis = _matched(contract, profile)
     return FeasibilityReport(
         ir_slacks=ir,
         ic_slack_matrix=ic,
-        monotone_q=_nondecreasing(contract.qs, tol),
-        monotone_pi=_nondecreasing(contract.pis, tol),
+        monotone_q=_nondecreasing(qs, tol),
+        monotone_pi=_nondecreasing(pis, tol),
         self_reveal=check_self_reveal(contract, profile, tol),
         min_slack=min_slack,
-        feasible=feasible,
+        feasible=min_slack >= -tol,
         tol=tol,
     )
 
@@ -140,6 +143,10 @@ def brute_force_best_contract(
     An intentionally independent oracle for the solver; exponential in K, so
     it refuses anything beyond 3 types.
     """
+    import numpy as np
+
+    from .solver import reduced_objective, reward_recovery
+
     cfg = grid_cfg or GridConfig()
     k = profile.k
     if k > 3:

@@ -5,15 +5,20 @@ self-interested charger nodes (the sellers).
 All powers are expressed in a single linear power unit (mW by default, see
 ``scenario.ScenarioConfig.power_unit``), bandwidth in rate units valued at
 one reward unit per rate unit, and rewards are a dimensionless scalar.
+
+Only the standard library is imported at module level, so that verify, which
+reads these types but sums no expectation, runs without loading numpy; the
+functions that return or take arrays import it when called.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 LN2 = math.log(2.0)
 
@@ -44,6 +49,8 @@ class TypeProfile:
         return len(self.thetas)
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.asarray(self.thetas, dtype=float)
 
 
@@ -82,10 +89,14 @@ class Contract:
 
     @property
     def qs(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([item.q for item in self.items])
 
     @property
     def pis(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([item.pi for item in self.items])
 
 
@@ -112,6 +123,8 @@ def dap_utility(counts, contract: Contract, gamma: float, bandwidth_w: float) ->
     Throughput value minus rewards paid out (unit reward cost):
     W log2(1 + gamma * sum_k n_k q_k) - sum_k n_k pi_k.
     """
+    import numpy as np
+
     n = np.asarray(counts, dtype=float)
     if n.size != len(contract):
         raise ValueError(f"counts length {n.size} does not match contract length {len(contract)}")
@@ -126,6 +139,8 @@ def social_welfare(
     Reward transfers cancel, so this equals the collector's utility plus the
     sum of all seller utilities.
     """
+    import numpy as np
+
     n = np.asarray(counts, dtype=float)
     if n.size != len(contract) or n.size != profile.k:
         raise ValueError("counts, contract and profile must have equal length")

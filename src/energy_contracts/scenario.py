@@ -4,19 +4,24 @@ Turns deployment parameters (path loss, distances, cost ranges) into the
 discrete type ladder and SNR-slope range the market modules consume, runs
 the three mechanisms across an SNR-slope grid, and cross-validates the exact
 expectation sums with a seeded Monte Carlo estimator.
+
+Only the standard library is imported at module level, so the CLI reads the
+config defaults without loading numpy: the functions that build arrays or run
+the solver import numpy and those modules when called.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import baselines
-from .compositions import expected_social_welfare
 from .market import Contract, TypeProfile
-from .solver import SolveResult, solve
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .solver import SolveResult
 
 # q is carried in mW or uW; theta scales with the square of the power unit
 # and the SNR slope with its inverse, leaving every utility invariant.
@@ -102,6 +107,8 @@ def build_type_ladder(cfg: ScenarioConfig) -> TypeProfile:
     energy cost, the strongest the shortest distance with the lowest cost.
     A single type sits at the range midpoint.
     """
+    import numpy as np
+
     scale = power_scale(cfg)
     g_far = channel_gain(cfg.d_ms_range[1], cfg.path_loss_alpha, cfg.ref_atten_db)
     g_near = channel_gain(cfg.d_ms_range[0], cfg.path_loss_alpha, cfg.ref_atten_db)
@@ -140,6 +147,8 @@ def bandwidth_mbps(cfg: ScenarioConfig) -> float:
 
 
 def default_gamma_grid(cfg: ScenarioConfig, steps: int = DEFAULT_GAMMA_STEPS) -> np.ndarray:
+    import numpy as np
+
     if steps < 1:
         raise ValueError("steps must be at least 1")
     lo, hi = gamma_range(cfg)
@@ -189,6 +198,12 @@ def run_sweep(cfg: ScenarioConfig, gamma_grid=None) -> SweepResult:
     whose first-best welfare underflows to zero, aborts the sweep with the
     failing gamma reported.
     """
+    import numpy as np
+
+    from . import baselines
+    from .compositions import expected_social_welfare
+    from .solver import solve
+
     grid = default_gamma_grid(cfg) if gamma_grid is None else np.asarray(gamma_grid, dtype=float)
     if grid.size == 0 or grid.min() <= 0.0:
         raise ValueError("gamma grid must be nonempty and positive")
@@ -244,6 +259,8 @@ def utility_curves(contract: Contract, profile: TypeProfile, probe_types) -> np.
     Row t (for 1-based probe type t) holds pi_j - q_j^2/theta_t across all
     menu items j; a feasible menu peaks each row at its own index.
     """
+    import numpy as np
+
     probes = check_probe_types(probe_types, profile.k)
     q = contract.qs
     pi = contract.pis
@@ -265,6 +282,8 @@ def monte_carlo_expected_welfare(
     Exists purely to cross-validate the exact enumeration; uses numpy's
     seeded PCG64 generator so estimates are reproducible.
     """
+    import numpy as np
+
     if samples < 1:
         raise ValueError("samples must be at least 1")
     profile = build_type_ladder(cfg)

@@ -62,9 +62,9 @@ class TestCriterion01Feasibility:
     def test_feasibility_suite(self, reference_solutions):
         for (n, k), (profile, res) in reference_solutions.items():
             ir = check_ir(res.contract, profile)
-            ic = check_ic(res.contract, profile)
+            ic = np.asarray(check_ic(res.contract, profile))
             off_diag = ic[~np.eye(k, dtype=bool)]
-            assert ir.min() >= -1e-9, f"(N={n}, K={k}) IR violation {ir.min():.3e}"
+            assert np.min(ir) >= -1e-9, f"(N={n}, K={k}) IR violation {np.min(ir):.3e}"
             assert off_diag.min() >= -1e-9, f"(N={n}, K={k}) IC violation {off_diag.min():.3e}"
             assert abs(ir[0]) <= 1e-10, f"(N={n}, K={k}) bottom IR slack {ir[0]:.3e}"
             assert np.all(np.diff(res.contract.qs) >= 0.0), f"(N={n}, K={k}) q not monotone"
@@ -315,7 +315,7 @@ class TestCriterion09ConstraintReductions:
         rng = np.random.default_rng(909)
         for _ in range(1000):
             profile, contract = random_local_ic_contract(rng)
-            assert check_ic(contract, profile).min() >= -1e-9
+            assert np.min(check_ic(contract, profile)) >= -1e-9
         print(
             "[criterion 9] local truth-telling plus monotone rewards imply the full "
             "IC matrix on 1000 generated menus"
@@ -326,9 +326,9 @@ class TestCriterion09ConstraintReductions:
         for _ in range(1000):
             profile, contract = random_local_ic_contract(rng)
             ir = check_ir(contract, profile)
-            assert check_ic(contract, profile).min() >= -1e-9  # precondition, checked
+            assert np.min(check_ic(contract, profile)) >= -1e-9  # precondition, checked
             assert ir[0] >= -1e-12  # precondition: bottom type participates
-            assert ir.min() >= -1e-9
+            assert np.min(ir) >= -1e-9
         print(
             "[criterion 9] PASS: full IC plus bottom participation imply every "
             "participation constraint on 1000 generated menus"

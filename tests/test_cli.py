@@ -2,7 +2,11 @@ import csv
 import inspect
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -10,6 +14,7 @@ from pathlib import Path
 import pytest
 from scipy.optimize import brentq
 
+import energy_contracts
 from energy_contracts import ScenarioConfig, __version__, cli, composition_table, default_gamma_grid, solver
 from energy_contracts.cli import (
     CONTRACT_COLUMNS,
@@ -262,7 +267,30 @@ class TestConfigHandling:
         assert err.startswith("config error:") and "Newton Hessian" in err
         assert not out.exists()
         assert composition_table.cache_info()[:2] == (0, 0)  # no hits, no misses
-        assert peak < 10e6  # the ladder of 100,000 types alone takes 7.2 MB
+        assert peak < 10e6
+
+    def test_huge_market_refusal_names_the_budget(self, tmp_path, capsys):
+        # its exact count, C(199999, 99999), has 60,203 digits: too many to format, and slow to form
+        path = write_config(tmp_path, {"scenario": {"n_eaps": 100_000, "k_types": 100_000}})
+        out = tmp_path / "out"
+        start = time.perf_counter()
+        assert main(["solve", "--config", path, "--out", str(out)]) == 1
+        assert time.perf_counter() - start < 0.1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "more than 10,000,000 count vectors" in err
+        assert not out.exists()
+
+    def test_wide_ladder_is_not_built_before_the_budget_check(self):
+        # a ScenarioConfig builds its K-type ladder: 72 MB of floats at a million types
+        cfg = resolve_config({"scenario": {"n_eaps": 0, "k_types": 1_000_000}})
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="Newton Hessian"):
+                cli._resolve("solve", cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
 
 
 class TestSolveCommand:
@@ -450,7 +478,7 @@ class TestCurvesCommand:
         def no_solve(*args, **kwargs):
             raise AssertionError("curves solved before checking its probe types")
 
-        monkeypatch.setattr(cli, "solve", no_solve)
+        monkeypatch.setattr(solver, "solve", no_solve)
         cfg = write_config(tmp_path, {"scenario": {"n_eaps": 20, "k_types": 8}, "curves": {"probe_types": [9]}})
         out = tmp_path / "x"
         assert main(["curves", "--config", cfg, "--out", str(out)]) == 1
@@ -517,6 +545,27 @@ class TestVerifyCommand:
             writer.writerows(rows)
         assert main(["verify", "--contract", str(bad), "--out", str(tmp_path / "v")]) == 1
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [(1e-10, 1e200, 0.0)],  # q^2/theta overflows
+            [(1.0, 1.3e154, 0.0), (2.0, 0.0, 1.7e308)],  # finite utilities whose differences overflow
+        ],
+    )
+    def test_overflowing_contract_is_a_config_error(self, tmp_path, capsys, rows):
+        path = tmp_path / "overflow.csv"
+        with open(path, "w", newline="") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(CONTRACT_COLUMNS)
+            writer.writerows((i, *row) for i, row in enumerate(rows, start=1))
+        out = tmp_path / "v"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["verify", "--contract", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "not finite" in err
+        assert not out.exists()
 
     def test_read_contract_roundtrip(self, tmp_path):
         out = tmp_path / "run"
@@ -641,6 +690,48 @@ class TestTableLookups:
         config = str(WORKLOADS / "solve-large.json")
         argv = ["verify", "--config", config, "--contract", str(solve_large[1]), "--out", str(tmp_path)]
         assert table_lookups(argv) == (0, 0)
+
+
+# runs cli.main on its arguments (none: only the import) and prints its exit code and whether numpy was loaded
+NUMPY_PROBE = """
+import sys
+from energy_contracts import cli
+try:
+    code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+except SystemExit as exc:
+    code = exc.code
+print(code, "numpy" in sys.modules)
+"""
+
+
+def numpy_probe(argv: list[str]) -> tuple[int, bool]:
+    """(exit code, numpy loaded) of a fresh interpreter that imports the package under test and runs argv."""
+    src = Path(energy_contracts.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE, *argv], env=env, capture_output=True, text=True, timeout=120, check=True
+    )
+    code, loaded = proc.stdout.splitlines()[-1].split()
+    return int(code), loaded == "True"
+
+
+class TestNumpyFreeCommands:
+    """The feasibility checks are plain-float algebra: importing numpy would be most of a verify's wall
+    time and memory. Only the commands that sum an expectation load it."""
+
+    def test_importing_the_cli_loads_no_numpy(self):
+        assert numpy_probe([]) == (0, False)
+
+    def test_verify_loads_no_numpy(self, tmp_path):
+        assert numpy_probe(["solve", "--out", str(tmp_path / "run")]) == (0, True)
+        argv = ["verify", "--contract", str(tmp_path / "run" / "contract.csv"), "--out", str(tmp_path / "v")]
+        assert numpy_probe(argv) == (0, False)
+        assert json.loads((tmp_path / "v" / "feasibility.json").read_text())["feasible"] is True
+
+    def test_help_and_config_errors_load_no_numpy(self, tmp_path):
+        assert numpy_probe(["--help"]) == (0, False)
+        path = write_config(tmp_path, {"scenario": {"n_eaps": 2, "k_types": 5}, "solver": {}})
+        assert numpy_probe(["solve", "--config", path, "--out", str(tmp_path / "x")]) == (1, False)
 
 
 def test_version_matches_pyproject():

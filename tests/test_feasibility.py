@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from energy_contracts import (
     Contract,
@@ -44,7 +47,7 @@ class TestCheckIr:
         res = solve(profile, 1.2, 1.0, 3)
         slacks = check_ir(res.contract, profile)
         assert slacks[0] == 0.0
-        assert slacks.min() >= -1e-9
+        assert np.min(slacks) >= -1e-9
 
 
 class TestCheckIc:
@@ -52,8 +55,8 @@ class TestCheckIc:
         profile, contract = two_type_example
         slacks = check_ic(contract, profile)
         # high type indifferent to the item below; low type strictly prefers own
-        assert slacks[1, 0] == pytest.approx(0.0, abs=1e-15)
-        assert slacks[0, 1] == pytest.approx(1.5)
+        assert slacks[1][0] == pytest.approx(0.0, abs=1e-15)
+        assert slacks[0][1] == pytest.approx(1.5)
 
     def test_identical_items_all_zero(self):
         profile = TypeProfile((1.0, 2.0, 3.0))
@@ -69,7 +72,7 @@ class TestCheckIc:
     def test_solver_output_full_matrix(self):
         profile = TypeProfile(tuple(np.linspace(0.5, 3.0, 6)))
         res = solve(profile, 0.9, 1.0, 4)
-        slacks = check_ic(res.contract, profile)
+        slacks = np.asarray(check_ic(res.contract, profile))
         off_diag = slacks[~np.eye(6, dtype=bool)]
         assert off_diag.min() >= -1e-9
         # adjacent-down entries bind for solver output
@@ -80,12 +83,12 @@ class TestCheckIc:
 class TestSelfReveal:
     def test_two_type_example(self, two_type_example):
         profile, contract = two_type_example
-        assert check_self_reveal(contract, profile).all()
+        assert all(check_self_reveal(contract, profile))
 
     def test_single_type_trivial(self):
         profile = TypeProfile((2.0,))
         contract = Contract.from_arrays([1.0], [0.5])
-        assert check_self_reveal(contract, profile).all()
+        assert all(check_self_reveal(contract, profile))
 
     def test_detects_violation(self):
         profile = TypeProfile((1.0, 2.0))
@@ -102,7 +105,7 @@ class TestVerifyContract:
         report = verify_contract(contract, profile)
         assert report.feasible
         assert report.monotone_q and report.monotone_pi
-        assert report.self_reveal.all()
+        assert all(report.self_reveal)
         assert report.min_slack == pytest.approx(0.0, abs=1e-15)
         payload = report.to_dict()
         assert payload["feasible"] is True
@@ -119,6 +122,85 @@ class TestVerifyContract:
         profile = TypeProfile((1.0,))
         report = verify_contract(Contract.from_arrays([1.0], [1.0]), profile)
         assert report.feasible
+
+
+def numpy_ir(q: np.ndarray, pi: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """The numpy participation slacks check_ir computed before it moved to plain floats."""
+    return pi - q * q / thetas
+
+
+def numpy_ic(q: np.ndarray, pi: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """The numpy truth-telling matrix check_ic computed before it moved to plain floats."""
+    utilities = pi[None, :] - q[None, :] ** 2 / thetas[:, None]
+    return np.diagonal(utilities)[:, None] - utilities
+
+
+def numpy_report(q: np.ndarray, pi: np.ndarray, thetas: np.ndarray, tol: float) -> dict:
+    """verify_contract's verdict as the numpy version reached it."""
+    ir, ic = numpy_ir(q, pi, thetas), numpy_ic(q, pi, thetas)
+    k = thetas.size
+    off_diag = ic[~np.eye(k, dtype=bool)] if k > 1 else np.array([])
+    min_slack = float(min(ir.min(), off_diag.min() if off_diag.size else np.inf))
+    return {
+        "ir": ir,
+        "ic": ic,
+        "min_slack": min_slack,
+        "feasible": min_slack >= -tol,
+        "monotone_q": bool(q.size == 0 or np.all(np.diff(q) >= -tol)),
+        "monotone_pi": bool(pi.size == 0 or np.all(np.diff(pi) >= -tol)),
+        "self_reveal": tuple(bool(b) for b in ic.min(axis=1) >= -tol),
+    }
+
+
+def bits(values) -> bytes:
+    """The float64 bit patterns of values: equal bits, not just equal values, signed zeros included."""
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+# a few shared values make ties between items and slacks; -0.0 is a valid reward and power
+SHARED = st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0])
+
+
+@st.composite
+def menus(draw):
+    k = draw(st.integers(1, 6))
+    thetas = sorted(draw(st.lists(st.floats(1e-3, 1e3), min_size=k, max_size=k, unique=True)))
+    values = st.one_of(SHARED, st.floats(0.0, 1e3))
+    q = draw(st.lists(values, min_size=k, max_size=k))
+    pi = draw(st.lists(values, min_size=k, max_size=k))
+    return TypeProfile(tuple(thetas)), Contract.from_arrays(q, pi)
+
+
+class TestMatchesNumpyOracle:
+    """The plain-float checks against the numpy expressions they replaced, bit for bit."""
+
+    @given(menu=menus(), tol=st.sampled_from([0.0, 1e-9, 0.5]))
+    @settings(max_examples=300)
+    def test_bit_for_bit(self, menu, tol):
+        profile, contract = menu
+        q, pi, thetas = contract.qs, contract.pis, profile.as_array()
+        oracle = numpy_report(q, pi, thetas, tol)
+        assert bits(check_ir(contract, profile)) == bits(oracle["ir"])
+        assert bits(check_ic(contract, profile)) == bits(oracle["ic"])
+        assert check_self_reveal(contract, profile, tol) == oracle["self_reveal"]
+        report = verify_contract(contract, profile, tol)
+        assert bits(report.ir_slacks) == bits(oracle["ir"])
+        assert bits(report.ic_slack_matrix) == bits(oracle["ic"])
+        assert report.self_reveal == oracle["self_reveal"]
+        assert (report.monotone_q, report.monotone_pi) == (oracle["monotone_q"], oracle["monotone_pi"])
+        assert report.feasible is oracle["feasible"]
+        assert report.min_slack == oracle["min_slack"]
+        # numpy's min reduction returns either of a tied +0.0 and -0.0, by the SIMD lane each falls in;
+        # verify_contract returns the first. Every other minimum is the same float, bit for bit.
+        if report.min_slack != 0.0:
+            assert bits(report.min_slack) == bits(oracle["min_slack"])
+
+    def test_signed_zero_ties_are_covered(self):
+        # the tie the bit-for-bit test excuses above: both signs of zero among the slacks
+        profile = TypeProfile((1.0, 2.0))
+        report = verify_contract(Contract.from_arrays([0.0, 0.0], [-0.0, 0.0]), profile)
+        assert bits(report.ir_slacks) == bits([-0.0, 0.0])
+        assert math.copysign(1.0, report.min_slack) == -1.0 and report.feasible
 
 
 class TestBruteForceOracle:
@@ -165,7 +247,7 @@ class TestConstraintReductionLemmas:
         rng = np.random.default_rng(101)
         for _ in range(100):
             profile, contract = random_local_ic_contract(rng)
-            assert check_ic(contract, profile).min() >= -1e-9
+            assert np.min(check_ic(contract, profile)) >= -1e-9
 
     def test_full_ic_plus_bottom_ir_implies_all_ir(self):
         rng = np.random.default_rng(202)
@@ -173,9 +255,9 @@ class TestConstraintReductionLemmas:
             profile, contract = random_local_ic_contract(rng)
             ic = check_ic(contract, profile)
             ir = check_ir(contract, profile)
-            assert ic.min() >= -1e-9  # precondition, checked directly
+            assert np.min(ic) >= -1e-9  # precondition, checked directly
             assert ir[0] >= -1e-12  # precondition: bottom participation holds
-            assert ir.min() >= -1e-9
+            assert np.min(ir) >= -1e-9
 
     def test_reward_and_power_order_agree_on_solver_output(self):
         # more received power earns more reward, and conversely

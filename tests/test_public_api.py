@@ -1,7 +1,12 @@
 """Every name the package exports is used by the package itself, or is a deliberate oracle."""
 
 import ast
+import importlib
 from pathlib import Path
+
+import pytest
+
+import energy_contracts
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "energy_contracts"
 
@@ -19,8 +24,7 @@ ORACLES = (
 
 
 def exported_names() -> set[str]:
-    imports = [node for node in ast.parse((PACKAGE / "__init__.py").read_text()).body if isinstance(node, ast.ImportFrom)]
-    return {alias.asname or alias.name for node in imports for alias in node.names}
+    return set(energy_contracts._EXPORTS)
 
 
 def referenced_names() -> set[str]:
@@ -41,3 +45,12 @@ def test_every_export_is_used_or_an_oracle():
     exported = exported_names()
     assert set(ORACLES) <= exported
     assert sorted(exported - referenced_names() - set(ORACLES)) == []
+
+
+def test_every_export_resolves_and_is_listed():
+    for name, module in energy_contracts._EXPORTS.items():
+        assert getattr(energy_contracts, name) is getattr(importlib.import_module(f"energy_contracts.{module}"), name)
+    assert set(energy_contracts._EXPORTS) <= set(dir(energy_contracts))
+    assert sorted(energy_contracts.__all__) == sorted(energy_contracts._EXPORTS)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        energy_contracts.no_such_name
