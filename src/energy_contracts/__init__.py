@@ -12,7 +12,7 @@ importing the package, or the CLI, loads no numpy until a name needs it.
 
 import importlib
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 # public name -> the module that defines it
 _EXPORTS = {
@@ -32,7 +32,6 @@ _EXPORTS = {
     "brute_force_best_contract": "feasibility",
     "check_ic": "feasibility",
     "check_ir": "feasibility",
-    "check_self_reveal": "feasibility",
     "verify_contract": "feasibility",
     "Contract": "market",
     "ContractItem": "market",

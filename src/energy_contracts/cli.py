@@ -27,7 +27,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__, feasibility
-from .feasibility import DEFAULT_TOL
+from .feasibility import DEFAULT_TOL, MAX_TYPES
 from .market import Contract, TypeProfile
 from .scenario import (
     DEFAULT_GAMMA_STEPS,
@@ -251,6 +251,9 @@ def _resolve(command: str, cfg: dict) -> dict:
     section = cfg[command]
     scenario, run["table"] = scenario_from_config(cfg)
     run["scenario"] = scenario
+    if command != "sweep" and scenario.k_types > MAX_TYPES:
+        k = scenario.k_types
+        raise ConfigError(f"{command} writes a K x K table, so it serves at most {MAX_TYPES:,} types, got {k:,}")
     if command == "sweep":
         lo, hi = gamma_range(scenario)
         section["gamma_min"] = gamma_min = _resolve_gamma(section["gamma_min"], lo, "sweep.gamma_min")
@@ -276,16 +279,24 @@ def _resolve(command: str, cfg: dict) -> dict:
 
 
 def _solve_once(run: dict):
+    """The ladder and its solve; solve refuses a gamma the market cannot use (a config error)."""
     from .solver import solve
 
     scenario = run["scenario"]
     profile = build_type_ladder(scenario)
-    return profile, solve(profile, run["gamma"], bandwidth_mbps(scenario), scenario.n_eaps)
+    try:
+        return profile, solve(profile, run["gamma"], bandwidth_mbps(scenario), scenario.n_eaps)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def cmd_solve(cfg: dict, run: dict, out_dir: Path, args) -> int:
     profile, result = _solve_once(run)
-    report = feasibility.verify_contract(result.contract, profile, run["tol"])
+    try:
+        report = feasibility.verify_contract(result.contract, profile, run["tol"])
+    except ValueError as exc:  # the menu came from the solver, so the fault is the solve's
+        print(f"solver returned a menu that cannot be verified: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     record = _solve_record(run["gamma"], result)
     payload = report.to_dict()
     payload["solver"] = {**record, "objective": result.objective, "monotone": result.monotone}
@@ -316,6 +327,8 @@ def cmd_sweep(cfg: dict, run: dict, out_dir: Path, args) -> int:
     except SweepError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_SOLVER
+    except ValueError as exc:  # a gamma the market cannot use
+        raise ConfigError(str(exc)) from exc
 
     records = [_solve_record(g, r) for g, r in zip(sweep.gamma_grid, sweep.solve_results)]
     files = {"sweep.csv": (SWEEP_COLUMNS, sweep.rows())}
@@ -356,7 +369,11 @@ def read_contract_csv(path: str | Path) -> tuple[TypeProfile, Contract]:
                 raise ConfigError(
                     f"{path}: expected columns {CONTRACT_COLUMNS}, got {reader.fieldnames}"
                 )
-            rows = [(float(r["theta"]), float(r["q"]), float(r["pi"])) for r in reader]
+            rows = []
+            for r in reader:  # stops before it parses the first row past the budget
+                if len(rows) == MAX_TYPES:
+                    raise ConfigError(f"{path}: more than {MAX_TYPES:,} rows, the most types verify serves")
+                rows.append((float(r["theta"]), float(r["q"]), float(r["pi"])))
     except OSError as exc:
         raise ConfigError(f"cannot read contract {path}: {exc}") from exc
     except ValueError as exc:
@@ -373,10 +390,10 @@ def read_contract_csv(path: str | Path) -> tuple[TypeProfile, Contract]:
 
 def cmd_verify(cfg: dict, run: dict, out_dir: Path, args) -> int:
     profile, contract = read_contract_csv(args.contract)
-    report = feasibility.verify_contract(contract, profile, run["tol"])
-    slacks = (*report.ir_slacks, *(s for row in report.ic_slack_matrix for s in row))
-    if not all(map(math.isfinite, slacks)):
-        raise ConfigError(f"{args.contract}: the menu's utilities overflow a float, so its slacks are not finite")
+    try:
+        report = feasibility.verify_contract(contract, profile, run["tol"])
+    except ValueError as exc:
+        raise ConfigError(f"{args.contract}: {exc}") from exc
     files = {"feasibility.json": report.to_dict()}
     _write_outputs(out_dir, "verify", cfg, files, {"contract_path": str(args.contract)})
     if not report.feasible:

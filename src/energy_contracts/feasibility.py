@@ -12,11 +12,15 @@ gap on small instances.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .market import LN2, Contract, TypeProfile
 
 DEFAULT_TOL = 1e-9
+# Most types a command that writes a K x K table serves: solve and verify write feasibility.json's slack
+# matrix, curves its utility table. That file holds 29 MB at 1,000 types and 118 MB at 2,000.
+MAX_TYPES = 1_000
 
 
 def _matched(contract: Contract, profile: TypeProfile) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -52,15 +56,6 @@ def check_ic(contract: Contract, profile: TypeProfile) -> tuple[tuple[float, ...
     return tuple(rows)
 
 
-def check_self_reveal(contract: Contract, profile: TypeProfile, tol: float = DEFAULT_TOL) -> tuple[bool, ...]:
-    """Per-type flag: does each type's own item maximize its utility?
-
-    Ties within tol count in favor of the designated item; the binding
-    adjacent indifference of an optimal menu makes exact ties legitimate.
-    """
-    return tuple(all(s >= -tol for s in row) for row in check_ic(contract, profile))
-
-
 def _nondecreasing(values: tuple[float, ...], tol: float) -> bool:
     return all(b - a >= -tol for a, b in zip(values, values[1:]))
 
@@ -92,23 +87,27 @@ class FeasibilityReport:
 
 
 def verify_contract(contract: Contract, profile: TypeProfile, tol: float = DEFAULT_TOL) -> FeasibilityReport:
-    """Run every check and aggregate the worst violation.
+    """Run every check off one truth-telling matrix and aggregate the worst violation.
 
     Feasible means all participation slacks and all off-diagonal
     truth-telling slacks are >= -tol. The worst is the first smallest, the
-    participation slacks read first and then the matrix by rows.
+    participation slacks read first and then the matrix by rows. A type
+    self-reveals when no slack in its row is below -tol (an optimal menu
+    binds with exact ties). A slack that is not finite raises ValueError.
     """
-    ir = check_ir(contract, profile)
-    ic = check_ic(contract, profile)
-    off_diag = (s for k, row in enumerate(ic) for j, s in enumerate(row) if j != k)
-    min_slack = min((*ir, *off_diag))
+    ir, ic = check_ir(contract, profile), check_ic(contract, profile)
+    if not all(all(map(math.isfinite, row)) for row in (ir, *ic)):
+        raise ValueError("the menu's utilities overflow a float, so its slacks are not finite")
+    min_slack = min(ir)
+    for k, row in enumerate(ic):  # min keeps the first of a tie, as of +0.0 and -0.0
+        min_slack = min((min_slack, *row[:k], *row[k + 1 :]))
     qs, pis = _matched(contract, profile)
     return FeasibilityReport(
         ir_slacks=ir,
         ic_slack_matrix=ic,
         monotone_q=_nondecreasing(qs, tol),
         monotone_pi=_nondecreasing(pis, tol),
-        self_reveal=check_self_reveal(contract, profile, tol),
+        self_reveal=tuple(min(row) >= -tol for row in ic),
         min_slack=min_slack,
         feasible=min_slack >= -tol,
         tol=tol,

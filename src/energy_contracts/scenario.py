@@ -193,8 +193,8 @@ class SweepResult:
 def run_sweep(cfg: ScenarioConfig, gamma_grid=None) -> SweepResult:
     """Solve all three mechanisms at every grid point.
 
-    Grid points must be positive. Every solve starts from its own mean-field
-    point. Any non-converged or non-monotone solve, or a nonempty market
+    Grid points must be positive and finite. Every solve starts from its own
+    mean-field point. Any non-converged or non-monotone solve, or a nonempty market
     whose first-best welfare underflows to zero, aborts the sweep with the
     failing gamma reported.
     """
@@ -205,8 +205,8 @@ def run_sweep(cfg: ScenarioConfig, gamma_grid=None) -> SweepResult:
     from .solver import solve
 
     grid = default_gamma_grid(cfg) if gamma_grid is None else np.asarray(gamma_grid, dtype=float)
-    if grid.size == 0 or grid.min() <= 0.0:
-        raise ValueError("gamma grid must be nonempty and positive")
+    if grid.size == 0 or not (np.isfinite(grid).all() and grid.min() > 0.0):
+        raise ValueError("gamma grid must be nonempty, positive and finite")
     profile = build_type_ladder(cfg)
     w = bandwidth_mbps(cfg)
     n = cfg.n_eaps

@@ -166,17 +166,23 @@ def solve(profile: TypeProfile, gamma: float, bandwidth_w: float, n_total: int) 
     (possible only off the uniform-type assumption) is flagged in the result
     rather than clamped away.
     """
+    gamma = float(gamma)
+    if not (math.isfinite(gamma) and gamma > 0.0):
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
     k = profile.k
     if n_total == 0:
         contract = Contract.from_arrays(np.zeros(k), np.zeros(k))
         return SolveResult(contract, 0.0, 0, True, 0.0, True)
 
-    problem = _ReducedProblem(profile, gamma, bandwidth_w, n_total)
     # mean-field start alpha cap: cap_k = (W gamma/ln 2)(N/K)/(2 E[D_k]) bounds the maximizer, is it as gamma -> 0;
     # alpha = 2/(1 + sqrt(1 + 4x)), x = gamma (N/K) sum cap, is divided through by 2 gamma: x overflows near 1e289
-    cap_per_gamma = (bandwidth_w / LN2) * (n_total / k) / (2.0 * problem.exp_d)
-    half_inv = 0.5 / float(gamma)
+    cap_per_gamma = (bandwidth_w / LN2) * (n_total / k) / (2.0 * expected_quadratic_coefficients(profile, n_total))
+    half_inv = 0.5 / gamma
     q = cap_per_gamma / (half_inv + math.hypot(half_inv, math.sqrt((n_total / k) * float(cap_per_gamma.sum()))))
+    # gamma N q bounds gamma n.q; gamma N alone overflows at gamma = 1e308, N = 2, where the product need not
+    if not math.isfinite(gamma * (n_total * float(q.max()))):
+        raise ValueError(f"gamma={gamma:g} is too large for this market: gamma N q at the start overflows a float")
+    problem = _ReducedProblem(profile, gamma, bandwidth_w, n_total)
 
     rate, quad = problem.parts(q)
     converged = False
@@ -188,7 +194,7 @@ def solve(profile: TypeProfile, gamma: float, bandwidth_w: float, n_total: int) 
         if residual <= _GRAD_TOL and np.all(np.abs(step) <= _STEP_RTOL * q) and math.isfinite(rate):
             converged = True
             break
-        if iterations == _MAX_ITERS:
+        if iterations == _MAX_ITERS or not math.isfinite(rate):  # an overflowed rate leaves the line search no gain
             break
         decrement = float(grad @ step)  # lambda^2
         crossing = q + step <= 0.0

@@ -27,7 +27,8 @@ from energy_contracts.cli import (
     resolve_config,
     scenario_from_config,
 )
-from energy_contracts.feasibility import DEFAULT_TOL
+from energy_contracts import feasibility
+from energy_contracts.feasibility import DEFAULT_TOL, MAX_TYPES
 
 LN2 = math.log(2.0)
 
@@ -265,6 +266,7 @@ class TestConfigHandling:
             tracemalloc.stop()
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Newton Hessian" in err
+        assert "K x K table" not in err  # over the type budget too, but the byte budget is checked first
         assert not out.exists()
         assert composition_table.cache_info()[:2] == (0, 0)  # no hits, no misses
         assert peak < 10e6
@@ -278,6 +280,40 @@ class TestConfigHandling:
         assert time.perf_counter() - start < 0.1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "more than 10,000,000 count vectors" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "curves"])
+    def test_type_budget_refuses_a_k_by_k_table(self, tmp_path, capsys, command):
+        # N=1 passes the table and byte budgets up to 7,194 types: 118 MB of feasibility.json at 2,000
+        path = write_config(tmp_path, {"scenario": {"n_eaps": 1, "k_types": MAX_TYPES + 1}})
+        out = tmp_path / "out"
+        assert main([command, "--config", path, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"at most {MAX_TYPES:,} types, got 1,001" in err
+        assert not out.exists()
+
+    def test_sweep_writes_no_k_by_k_table(self):
+        # so only the byte budget bounds it
+        cfg = resolve_config({"scenario": {"n_eaps": 1, "k_types": MAX_TYPES + 1}})
+        assert cli._resolve("sweep", cfg)["scenario"].k_types == MAX_TYPES + 1
+
+    @pytest.mark.parametrize(
+        "argv, section",
+        [
+            (["solve"], {"solve": {"gamma": 1e308}}),
+            (["curves"], {"curves": {"gamma": 1e308}}),
+            (["sweep", "--gamma-steps", "1"], {"sweep": {"gamma_min": 1e308, "gamma_max": 1e308}}),
+        ],
+    )
+    def test_overflowing_gamma_is_a_config_error(self, tmp_path, capsys, argv, section):
+        # gamma N q overflows at the solver's start: this warned and ran 10,000 iterations unconverged
+        path = write_config(tmp_path, {"scenario": {"n_eaps": 2, "k_types": 5, "bandwidth_hz": 1e9}, **section})
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, "--config", path, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "overflows a float" in err
         assert not out.exists()
 
     def test_wide_ladder_is_not_built_before_the_budget_check(self):
@@ -364,6 +400,18 @@ class TestSolveCommand:
         monkeypatch.chdir(tmp_path)
         assert main(["solve"]) == 0
         assert (tmp_path / "from_env" / "contract.csv").exists()
+
+
+    def test_unverifiable_menu_is_a_solver_failure(self, tmp_path, capsys, monkeypatch):
+        # the menu came from the solver, so a slack that is not finite is the solve's fault
+        def refuse(*args):
+            raise ValueError("the menu's utilities overflow a float, so its slacks are not finite")
+
+        monkeypatch.setattr(feasibility, "verify_contract", refuse)
+        out = tmp_path / "run"
+        assert main(["solve", "--out", str(out)]) == 2
+        assert "not finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSweepCommand:
@@ -566,6 +614,21 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "not finite" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("past_budget", ["1001,1001.0,0.0,0.0", "1001,not a number,0.0,0.0"])
+    def test_rows_past_the_type_budget_are_refused(self, tmp_path, capsys, past_budget):
+        # the rows past the budget are not read: a malformed one gets the budget's message
+        lines = ["type_index,theta,q,pi", *(f"{i},{i}.0,0.0,0.0" for i in range(1, MAX_TYPES + 1)), past_budget]
+        path = tmp_path / "wide.csv"
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "v"
+        assert main(["verify", "--contract", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"more than {MAX_TYPES:,} rows" in err
+        assert not out.exists()
+        path.write_text("\n".join(lines[:-1]) + "\n")
+        profile, _ = read_contract_csv(path)
+        assert profile.k == MAX_TYPES
 
     def test_read_contract_roundtrip(self, tmp_path):
         out = tmp_path / "run"

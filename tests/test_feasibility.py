@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from energy_contracts import feasibility
 from energy_contracts import (
     Contract,
     GridConfig,
@@ -11,7 +13,6 @@ from energy_contracts import (
     brute_force_best_contract,
     check_ic,
     check_ir,
-    check_self_reveal,
     reduced_objective,
     solve,
     verify_contract,
@@ -83,19 +84,19 @@ class TestCheckIc:
 class TestSelfReveal:
     def test_two_type_example(self, two_type_example):
         profile, contract = two_type_example
-        assert all(check_self_reveal(contract, profile))
+        assert all(verify_contract(contract, profile).self_reveal)
 
     def test_single_type_trivial(self):
         profile = TypeProfile((2.0,))
         contract = Contract.from_arrays([1.0], [0.5])
-        assert all(check_self_reveal(contract, profile))
+        assert all(verify_contract(contract, profile).self_reveal)
 
     def test_detects_violation(self):
         profile = TypeProfile((1.0, 2.0))
         # item 2 strictly dominates item 1 for type 1: 2.5 - 4/1 < 1 - 1 is
         # False, so break it the other way: make item 1 dominate for type 2
         contract = Contract.from_arrays([1.0, 1.0], [2.0, 1.0])
-        flags = check_self_reveal(contract, profile)
+        flags = verify_contract(contract, profile).self_reveal
         assert not flags[1]
 
 
@@ -122,6 +123,46 @@ class TestVerifyContract:
         profile = TypeProfile((1.0,))
         report = verify_contract(Contract.from_arrays([1.0], [1.0]), profile)
         assert report.feasible
+
+    def test_builds_the_matrix_once(self, two_type_example, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return check_ic(*args)
+
+        profile, contract = two_type_example
+        monkeypatch.setattr(feasibility, "check_ic", counted)
+        verify_contract(contract, profile)
+        assert len(calls) == 1
+
+    def test_thousand_type_menu_peak(self):
+        # the K x K matrix of Python floats is the peak: 32 MB, 64 MB when it was built twice
+        k = 1000
+        thetas = np.arange(1.0, k + 1.0)
+        q = np.arange(k) / k
+        pi = np.cumsum(np.diff(q * q, prepend=0.0) / thetas)  # each type indifferent to the item below
+        profile, contract = TypeProfile(tuple(thetas)), Contract.from_arrays(q, pi)
+        tracemalloc.start()
+        try:
+            report = verify_contract(contract, profile)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.feasible and all(report.self_reveal)
+        assert peak < 40e6
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [(1e-10, 1e200, 0.0)],  # q^2/theta overflows
+            [(1.0, 1.3e154, 0.0), (2.0, 0.0, 1.7e308)],  # finite utilities whose differences overflow
+        ],
+    )
+    def test_non_finite_slack_is_refused(self, rows):
+        thetas, q, pi = zip(*rows)
+        with pytest.raises(ValueError, match="not finite"):
+            verify_contract(Contract.from_arrays(q, pi), TypeProfile(thetas))
 
 
 def numpy_ir(q: np.ndarray, pi: np.ndarray, thetas: np.ndarray) -> np.ndarray:
@@ -182,7 +223,6 @@ class TestMatchesNumpyOracle:
         oracle = numpy_report(q, pi, thetas, tol)
         assert bits(check_ir(contract, profile)) == bits(oracle["ir"])
         assert bits(check_ic(contract, profile)) == bits(oracle["ic"])
-        assert check_self_reveal(contract, profile, tol) == oracle["self_reveal"]
         report = verify_contract(contract, profile, tol)
         assert bits(report.ir_slacks) == bits(oracle["ir"])
         assert bits(report.ic_slack_matrix) == bits(oracle["ic"])

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -205,6 +207,14 @@ class TestRunSweep:
     def test_nonpositive_grid_rejected(self):
         with pytest.raises(ValueError):
             run_sweep(ScenarioConfig(), [0.0, 0.1])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_grid_rejected(self, bad):
+        # grid.min() <= 0 let both through to the solve
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="finite"):
+            run_sweep(ScenarioConfig(), [0.1, bad])
+        assert time.perf_counter() - start < 0.1
 
     def test_empty_market_degenerates_cleanly(self):
         sweep = run_sweep(ScenarioConfig(n_eaps=0), [0.1, 0.2])

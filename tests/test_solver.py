@@ -1,6 +1,8 @@
 import csv
 import math
+import time
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -24,6 +26,7 @@ from energy_contracts import (
     solve,
 )
 from energy_contracts import compositions as compositions_module
+from energy_contracts.compositions import rate_terms
 from energy_contracts import solver as solver_module
 from energy_contracts.solver import _ReducedProblem
 
@@ -301,13 +304,46 @@ class TestSolve:
         np.testing.assert_array_equal(res.contract.pis, np.zeros(5))
 
     def test_overflowing_rate_is_not_converged(self, monkeypatch):
-        # at gamma 1e308 and W = 1000, gamma n.q overflows at the mean-field start: the
-        # rate is infinite and its gradient vanishes, which is no optimum
-        cfg = ScenarioConfig(bandwidth_hz=1e9)
+        # an infinite rate is no optimum, whatever its gradient says, and gives the line search
+        # no gain to compare: the solve stops there. solve refuses a gamma whose start overflows
+        # (below), so the value pass is made to overflow here
+        def overflowing(split, q, gamma, derivatives=False):
+            return rate_terms(split, q, gamma, derivatives) if derivatives else math.inf
+
+        cfg = ScenarioConfig()
+        monkeypatch.setattr(solver_module, "rate_terms", overflowing)
         monkeypatch.setattr(solver_module, "_MAX_ITERS", 50)
-        with np.errstate(over="ignore"):
-            res = solve(build_type_ladder(cfg), 1e308, bandwidth_mbps(cfg), 2)
+        res = solve(build_type_ladder(cfg), reference_gamma(cfg), bandwidth_mbps(cfg), 2)
         assert not res.converged
+        assert res.iterations == 0
+
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
+    def test_unusable_gamma_refused(self, monkeypatch, gamma):
+        # 0 divided by zero at the start; -1, nan and inf each ran for over 20 s
+        monkeypatch.setattr(solver_module, "split_table", None)  # refused before any table is built
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="positive and finite"):
+            solve(TypeProfile((1.0, 2.0)), gamma, 1.0, 2)
+        assert time.perf_counter() - start < 0.1
+
+    def test_overflowing_gamma_refused_before_the_table(self, monkeypatch):
+        # at gamma 1e308 and W = 1000, gamma N q overflows at the mean-field start: it warned
+        # 'overflow encountered in multiply' and ran 10,000 iterations unconverged
+        cfg = ScenarioConfig(bandwidth_hz=1e9)
+        monkeypatch.setattr(solver_module, "split_table", None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows a float"):
+                solve(build_type_ladder(cfg), 1e308, bandwidth_mbps(cfg), 2)
+
+    @pytest.mark.parametrize("bandwidth_hz, gamma", [(1e9, 2e307), (1e6, 1e308), (1e6, 1.7e308)])
+    def test_gamma_near_the_float_limit_solves(self, bandwidth_hz, gamma):
+        # gamma N alone overflows at gamma 1e308 and N = 2; gamma (N q) does not
+        cfg = ScenarioConfig(bandwidth_hz=bandwidth_hz)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = solve(build_type_ladder(cfg), gamma, bandwidth_mbps(cfg), 2)
+        assert res.converged and res.monotone
 
     def test_iteration_cap_flags_nonconvergence(self, monkeypatch):
         # N=3, K=2 at 10^4 times the reference takes 6 iterations from the mean-field start
