@@ -8,13 +8,15 @@ and deterministic (ascending lexicographic order) so sums are bit-reproducible.
 The table is written column by column into its final array, in the narrowest
 unsigned integer that holds N: no table-sized intp or float64 array is formed.
 rate_terms reads the same sum off a split table: pairs of count vectors over
-ceil(K/2) and K - ceil(K/2) types, both read from the table of ceil(K/2)+1 columns.
+ceil(K/2) and K - ceil(K/2) types, both views of the table of ceil(K/2)+1 columns,
+which for K <= 3 is the whole table.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -114,63 +116,58 @@ def composition_table(n_total: int, k_types: int) -> tuple[np.ndarray, np.ndarra
 
 
 def per_type(values: Sequence[float], profile: TypeProfile, name: str = "q") -> np.ndarray:
-    """values as a float array, one entry per type of the ladder (ValueError otherwise)."""
+    """values as a float array, one nonnegative and finite entry per type of the ladder (ValueError
+    otherwise)."""
     array = np.asarray(values, dtype=float)
     if array.size != profile.k:
         raise ValueError(f"{name} must have length {profile.k}, got {array.size}")
+    bad = array[~(np.isfinite(array) & (array >= 0.0))]
+    if bad.size:
+        raise ValueError(f"{name} must be nonnegative and finite, got {bad[0]}")
     return array
-
-
-class Group(NamedTuple):
-    """One group's count vectors by the sum r of the a's they pair with: those of r are
-    counts[start[r] : start[r] + size[r]], with their weights."""
-
-    counts: np.ndarray  # float64, one column per type of the group
-    weights: np.ndarray
-    start: np.ndarray
-    size: np.ndarray
 
 
 class SplitTable(NamedTuple):
     """The count vectors of N sellers over K types as pairs (a, b): a counts types 1..m and b types
-    m+1..K, m = ceil(K/2). Both are read from one composition_table(N, m+1): its first column is
-    the slack N - r of a row whose other columns, an a, sum to r. In the table's order the rows of
-    each slack are contiguous, and those with a 0 in column 1 come first. The b's of sum s are the
-    a's of sum s, read from their last K-m columns: all of them when K is even, and when K is odd
-    the first ones, those with that 0. The weights are probabilities, and
-    weight_a(a) weight_b(b) is the multinomial probability of (a, b):
+    m+1..K, m = ceil(K/2). Both are views of one composition_table(N, m+1): its first column is the
+    slack N - r of a row whose other columns, an a, sum to r. In the table's order the rows of each
+    slack are contiguous, and those with a 0 in column 1 come first. So the a's of sum r are the rows
+    of slack N-r, and the b's of sum s, the last K-m columns, are the first rows of slack N-s: all of
+    them when K is even, and when K is odd those with that 0. Each row is weighed as an a and as a b
+    (a row that is no b has a b weight nothing reads), so that weight_a(a) weight_b(b) is the
+    multinomial probability of (a, b):
 
         weight_a = N! / ((N-r)! prod a!) K^-N (K-m)^(N-r)     weight_b = s! / prod b! (K-m)^-s
 
-    The pairs of sum r are the a's of sum r against the b's of sum N-r: both groups are indexed by r.
+    runs holds, for each sum r, the rows of its a's and of the b's of sum N-r they pair with. For
+    K <= 3 the table is the whole table: a is every count vector, weight_a its probability, and one
+    run pairs them with b, the one empty vector, of weight 1.
     """
 
-    a: Group
-    b: Group
-
-
-def _starts(sizes: np.ndarray) -> np.ndarray:
-    """First row of each run of rows, for runs of these sizes laid end to end."""
-    return np.concatenate([[0], np.cumsum(sizes)])[:-1]
+    a: np.ndarray
+    weight_a: np.ndarray
+    b: np.ndarray
+    weight_b: np.ndarray
+    runs: list[tuple[slice, slice]]
 
 
 def split_nbytes(n_total: int, k_types: int) -> int:
     """Bytes a split_table holds with the composition_table it reads, without building either: the
-    table, and in float64 the a's, a weight per a and per b, and when K is odd the b's own counts.
+    table, and two float64 weights per row unless K <= 3, where the table's probabilities weigh it.
     Checked before anything is allocated (ValueError over a budget): the market's count vectors
     and the table's C(N+m, m) rows, m = ceil(K/2), against MAX_TABLE_ROWS, and these bytes with
     the 8K^2 of the solver's Newton Hessian against MAX_SOLVE_BYTES. Only at K=1 is the table the
     larger count: N+1 rows weigh the one count vector."""
     table_rows(n_total, k_types)
     m = (k_types + 1) // 2
-    rows_a, rows_b = math.comb(n_total + m, m), math.comb(n_total + k_types - m, k_types - m)
-    if rows_a > MAX_TABLE_ROWS:
+    rows = math.comb(n_total + m, m)
+    if rows > MAX_TABLE_ROWS:
         raise ValueError(
-            f"{n_total} sellers need a split table of {rows_a:,} rows, "
+            f"{n_total} sellers need a split table of {rows:,} rows, "
             f"over the composition table's budget of {MAX_TABLE_ROWS:,} rows"
         )
-    # past the check above, table_rows(N, m+1) = rows_a cannot raise its message of m+1 types
-    nbytes = table_nbytes(n_total, m + 1) + 8 * (rows_a * (m + 1) + rows_b * (1 + (k_types - m) * (k_types % 2)))
+    # past the check above, table_rows(N, m+1) = rows cannot raise its message of m+1 types
+    nbytes = table_nbytes(n_total, m + 1) + (16 * rows if k_types - m != 1 else 0)
     if (needed := nbytes + 8 * k_types**2) > MAX_SOLVE_BYTES:
         raise ValueError(
             f"{n_total} sellers over {k_types} types need {needed:,} bytes of split table "
@@ -185,66 +182,43 @@ def split_table(n_total: int, k_types: int) -> SplitTable:
     split_nbytes(n_total, k_types)
     m = (k_types + 1) // 2
     types_b = k_types - m
-    counts = composition_table(n_total, m + 1)[0]
-    # count vectors of sum s over j types, s = 0..N, for j = 0..m: each a cumulative sum of the last
-    over = [np.eye(1, n_total + 1, dtype=np.intp)[0]]
-    for _ in range(m):
-        over.append(np.cumsum(over[-1]))
-    b_counts = counts[:, 1:] if types_b == m else counts[counts[:, 1] == 0, 2:]
+    counts, probs = composition_table(n_total, m + 1)
+    rows = counts.shape[0]
+    # K = 2, 3: the table of m+1 = K columns is the whole table, already weighed by its probabilities;
+    # a split into m and 1 types would only add two weights a row and a run per sum of one b each
+    if types_b == 1:
+        return SplitTable(counts, probs, counts[:1, k_types:], np.ones(1), [(slice(0, rows), slice(0, 1))])
+    # a's and b's of sum s, the count vectors of s over m and over K-m types; over none, only s = 0 has one
+    size_a, size_b = ([math.comb(max(s + j - 1, 0), s) for s in range(n_total + 1)] for j in (m, types_b))
+    start = list(accumulate(size_a[::-1], initial=0))  # first row of each slack
+    runs = [
+        (slice(start[n_total - r], start[n_total - r + 1]), slice(start[r], start[r] + size_b[n_total - r]))
+        for r in range(n_total + 1)
+        if size_b[n_total - r]  # K=1: only the sum N has a b
+    ]
     # log (K-m)^i; K=1 leaves group B no type, and its one b, of sum 0, weight 0^0 = 1
     log_pow = np.zeros(n_total + 1)
     log_pow[1:] = np.arange(1, n_total + 1) * math.log(types_b) if types_b else -np.inf
     lgamma = np.array([math.lgamma(i + 1) for i in range(n_total + 1)])
-    weight_a, weight_b = np.empty(counts.shape[0]), np.empty(b_counts.shape[0])
-    for block in _row_blocks(counts.shape[0]):
+    weight_a, weight_b = np.empty(rows), np.empty(rows)
+    for block in _row_blocks(rows):
         rest = counts[block, 0].astype(np.intp)
-        log_a = lgamma[n_total] - lgamma[rest] - lgamma[counts[block, 1:]].sum(axis=1)
+        log_factorials = lgamma[counts[block, 1:]].sum(axis=1)  # log prod a!, and a b's: the column it drops is 0
+        log_a = lgamma[n_total] - lgamma[rest] - log_factorials
         np.exp(log_a - n_total * math.log(k_types) + log_pow[rest], out=weight_a[block])
-    for block in _row_blocks(b_counts.shape[0]):
-        s = b_counts[block].sum(axis=1, dtype=np.intp)
-        np.exp(lgamma[s] - lgamma[b_counts[block]].sum(axis=1) - log_pow[s], out=weight_b[block])
-    # by slack j the table holds the a's of sum N-j, and the b's of sum N-j, both runs in slack order
-    a_counts = counts[:, 1:].astype(np.float64)
-    b_counts = a_counts if types_b == m else b_counts.astype(np.float64)
-    a = Group(a_counts, weight_a, _starts(over[m][::-1])[::-1], over[m])
-    b = Group(b_counts, weight_b, _starts(over[types_b][::-1]), over[types_b][::-1])
-    return SplitTable(a, b)
+        np.exp(lgamma[n_total - rest] - log_factorials - log_pow[n_total - rest], out=weight_b[block])
+    return SplitTable(counts[:, 1:], weight_a, counts[:, m + 1 - types_b :], weight_b, runs)
 
 
-def _take(group: Group, r: int, g: int, offset: int, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Counts (g, width, types) and weights (g, width) of the group's vectors offset.. of the sums
-    r..r+g-1. Past a sum's last vector the counts repeat it and the weights are 0."""
-    if g == 1:  # one sum: a slice of its rows
-        lo = int(group.start[r]) + offset
-        return group.counts[None, lo : lo + width], group.weights[None, lo : lo + width]
-    column, size = np.arange(width), group.size[r : r + g, None]
-    index = group.start[r : r + g, None] + np.minimum(column, size - 1)
-    return np.take(group.counts, index, axis=0), np.where(column < size, np.take(group.weights, index), 0.0)
-
-
-def _split_blocks(split: SplitTable):
-    """Yield (a, weight_a, b, weight_b) blocks of at most _BLOCK_PAIRS (a, b) pairs, each the pairs
-    of g sums stacked: a (g, a_len, m) and b (g, b_len, K-m) float64 counts, with their (g, a_len)
-    and (g, b_len) weights. A sum with more pairs is cut into blocks of its own. Consecutive smaller
-    ones share a block, padded to the most a's and b's among them. As r grows, a's per sum never
-    fall and b's never rise, so a block from r pads to g x a.size[r+g-1] x b.size[r]."""
-    a_size, b_size = split.a.size, split.b.size
-    r = int(np.flatnonzero(b_size)[0])  # K=1: only the sum N has a b
-    while r < a_size.size:
-        a_len, b_len = int(a_size[r]), int(b_size[r])
-        if a_len * b_len > _BLOCK_PAIRS:
-            b_step = min(b_len, _BLOCK_PAIRS)
-            a_step = _BLOCK_PAIRS // b_step
-            for a_off in range(0, a_len, a_step):
-                for b_off in range(0, b_len, b_step):
-                    a = _take(split.a, r, 1, a_off, min(a_step, a_len - a_off))
-                    yield *a, *_take(split.b, r, 1, b_off, min(b_step, b_len - b_off))
-            r += 1
-            continue
-        ahead = a_size[r : r + _BLOCK_PAIRS]
-        g = int(np.searchsorted(np.arange(1, ahead.size + 1) * ahead * b_len, _BLOCK_PAIRS, side="right"))
-        yield *_take(split.a, r, g, 0, int(ahead[g - 1])), *_take(split.b, r, g, 0, b_len)
-        r += g
+def _blocks(split: SplitTable):
+    """(a rows, b rows) slices of at most _BLOCK_PAIRS pairs: each run's a's x b's, cut across its b's
+    when it has more b's than that, and across its a's otherwise."""
+    for a_rows, b_rows in split.runs:
+        b_step = min(b_rows.stop - b_rows.start, _BLOCK_PAIRS)
+        a_step = _BLOCK_PAIRS // b_step
+        for a_lo in range(a_rows.start, a_rows.stop, a_step):
+            for b_lo in range(b_rows.start, b_rows.stop, b_step):
+                yield slice(a_lo, min(a_lo + a_step, a_rows.stop)), slice(b_lo, min(b_lo + b_step, b_rows.stop))
 
 
 def rate_terms(split: SplitTable, q: np.ndarray, gamma: float, derivatives: bool = False):
@@ -254,39 +228,29 @@ def rate_terms(split: SplitTable, q: np.ndarray, gamma: float, derivatives: bool
         E[slope n] and E[slope^2 n n^T],   slope = gamma / (1 + gamma n.q),
 
     gamma folded into the slope so that both stay finite at any finite gamma. Each block sums
-    weight_a^T f(a.q + b.q) weight_b over the (a, b) pairs of each of its sums."""
-    m = split.a.counts.shape[1]
+    weight_a^T f(a.q + b.q) weight_b over its (a, b) pairs, both read as slices of the table."""
+    m = split.a.shape[1]
     qa, qb = q[:m], q[m:]
-
-    def scaled(a, b):  # gamma n.q over the block, (g, a_len, b_len), each step in place
-        values = (a @ qa)[:, :, None] + (b @ qb)[:, None, :]
+    total, grad, hess = 0.0, np.zeros(q.size), np.zeros((q.size, q.size))
+    for a_rows, b_rows in _blocks(split):
+        a, wa, b, wb = split.a[a_rows], split.weight_a[a_rows], split.b[b_rows], split.weight_b[b_rows]
+        values = np.add.outer(a @ qa, b @ qb)  # gamma n.q over the block, (a's, b's), each step in place
         values *= gamma
-        return values
-
-    if not derivatives:
-        total = 0.0
-        for a, wa, b, wb in _split_blocks(split):
-            rate = scaled(a, b)
-            np.log1p(rate, out=rate)
-            if rate.shape[0] > 1:  # padded pairs, of weight 0, add nothing even where the rate overflowed
-                rate[(wa == 0.0)[:, :, None] | (wb == 0.0)[:, None, :]] = 0.0
-            total += np.vdot(wa, rate @ wb[:, :, None])
-        return float(total)
-    grad = np.zeros(q.size)
-    hess = np.zeros((q.size, q.size))
-    for a, wa, b, wb in _split_blocks(split):
-        slope = scaled(a, b)
-        slope += 1.0
-        np.divide(gamma, slope, out=slope)
+        if not derivatives:
+            np.log1p(values, out=values)
+            total += wa @ (values @ wb)
+            continue
+        values += 1.0
+        slope = np.divide(gamma, values, out=values)
         square = np.square(slope)
-        # the block's a's and b's, one row each, plain and weighted
-        a_rows, b_rows = a.reshape(wa.size, m), b.reshape(wb.size, -1)
-        a_weighted, b_weighted = a_rows * wa.reshape(-1, 1), b_rows * wb.reshape(-1, 1)
-        grad[:m] += a_weighted.T @ (slope @ wb[:, :, None]).ravel()
-        grad[m:] += b_weighted.T @ (wa[:, None, :] @ slope).ravel()
-        hess[:m, :m] += a_weighted.T @ (a_rows * (square @ wb[:, :, None]).reshape(-1, 1))
-        hess[m:, m:] += b_weighted.T @ (b_rows * (wa[:, None, :] @ square).reshape(-1, 1))
-        hess[:m, m:] += a_weighted.T @ (square @ b_weighted.reshape(b.shape)).reshape(wa.size, -1)
+        a_weighted, b_weighted = a * wa[:, None], b * wb[:, None]
+        grad[:m] += a_weighted.T @ (slope @ wb)
+        grad[m:] += b_weighted.T @ (wa @ slope)
+        hess[:m, :m] += a_weighted.T @ (a * (square @ wb)[:, None])
+        hess[m:, m:] += b_weighted.T @ (b * (wa @ square)[:, None])
+        hess[:m, m:] += a_weighted.T @ (square @ b_weighted)
+    if not derivatives:
+        return float(total)
     hess[m:, :m] = hess[:m, m:].T
     return grad, hess
 

@@ -246,8 +246,14 @@ def run_sweep(cfg: ScenarioConfig, gamma_grid=None) -> SweepResult:
 
 
 def check_probe_types(probe_types, k: int) -> list[int]:
-    """The 1-based probe types as ints; ValueError for one outside 1..k."""
+    """The 1-based probe types as ints; ValueError for a bool, a number that is not integral, or
+    one outside 1..k."""
+    import numbers  # not loaded by the CLI's import
+
     for t in probe_types:
+        integral = isinstance(t, numbers.Integral) or (isinstance(t, numbers.Real) and float(t).is_integer())
+        if isinstance(t, bool) or not integral:
+            raise ValueError(f"probe type {t!r} is not an integer")
         if not 1 <= int(t) <= k:
             raise ValueError(f"probe type {t} outside 1..{k}")
     return [int(t) for t in probe_types]

@@ -55,9 +55,10 @@ def reward_recovery(q: Sequence[float], profile: TypeProfile) -> np.ndarray:
         pi_k = pi_{k-1} + (q_k^2 - q_{k-1}^2) / theta_k     for k >= 2
 
     The bottom type earns zero surplus and every type is indifferent to the
-    item one step below.
+    item one step below. q is refused, with a ValueError, unless it has one nonnegative and finite
+    entry per type.
     """
-    q = np.asarray(q, dtype=float)
+    q = per_type(q, profile)
     thetas = profile.as_array()
     pi = np.empty_like(q)
     pi[0] = q[0] ** 2 / thetas[0]
@@ -137,8 +138,6 @@ def reduced_objective(
     expected_dap_utility(q, reward_recovery(q), ...) for every q >= 0.
     """
     q = per_type(q, profile)
-    if q.size and q.min() < 0.0:
-        raise ValueError("q must be nonnegative")
     rate, quad = _ReducedProblem(profile, gamma, bandwidth_w, n_total).parts(q)
     return rate - quad
 

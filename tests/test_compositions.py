@@ -268,12 +268,13 @@ class TestRateTerms:
     def test_matches_whole_table_sums(self, monkeypatch, n, k, gamma):
         q = np.linspace(0.2, 1.0, k)
         value, grad, hess = whole_table_terms(n, k, q, gamma)
-        # the split weighs composition_table(n, ceil(k/2)+1) in blocks of 64 rows: the 66 rows of
-        # (10, 3) and the 84 of (6, 5) end in a partial block
+        # the split weighs composition_table(n, ceil(k/2)+1) in blocks of 64 rows: the 84 rows of
+        # (6, 5) end in a partial block
         monkeypatch.setattr(compositions, "_BLOCK_ROWS", 64)
         split = compositions.split_table(n, k)
         # 5 pairs a block cut every sum of (6, 5), across its b's or across its a's, four of them
-        # into a partial last block; 64 put several sums of (6, 5) and of (10, 3) into one padded block
+        # into a partial last block, and the 66 rows of (10, 3) into 14 blocks; 64 hold each sum of
+        # (6, 5) in one block, and cut (10, 3) into a full and a partial block
         for block in (5, 64):
             monkeypatch.setattr(compositions, "_BLOCK_PAIRS", block)
             assert compositions.rate_terms(split, q, gamma) == pytest.approx(value, rel=1e-12)
@@ -283,19 +284,17 @@ class TestRateTerms:
 
     @pytest.mark.parametrize("n, k", [(300, 3), (2000, 2)])
     def test_many_sums_in_one_block(self, n, k):
-        # one b per sum: dozens of sums or more share each block
+        # K <= 3: the whole table is one run, each block of it rows of many sums
         q = np.linspace(0.2, 1.0, k) / n
         value, grad, hess = whole_table_terms(n, k, q, 0.125)
         split = compositions.split_table(n, k)
-        assert max(a.shape[0] for a, _, _, _ in compositions._split_blocks(split)) >= 32
         assert compositions.rate_terms(split, q, 0.125) == pytest.approx(value, rel=1e-12)
         split_grad, split_hess = compositions.rate_terms(split, q, 0.125, derivatives=True)
         np.testing.assert_allclose(split_grad, grad, rtol=1e-12)
         np.testing.assert_allclose(split_hess, hess, rtol=1e-12)
 
     def test_overflowing_rate_is_infinite(self):
-        # (5, 3) pads its sums into one block: a padded pair, of weight 0, adds 0 where gamma n.q
-        # overflows, not 0 x inf
+        # every pair has a positive weight: none adds 0 x inf where gamma n.q overflows
         split = compositions.split_table(5, 3)
         with np.errstate(over="ignore", invalid="raise"):
             assert compositions.rate_terms(split, np.array([1.0, 2.0, 3.0]), 1e308) == math.inf
@@ -321,23 +320,22 @@ class TestRateTerms:
 class TestSplitTable:
     @pytest.mark.parametrize("n, k", [(0, 1), (4, 1), (3, 2), (5, 3), (6, 5), (4, 6), (7, 7), (6, 8)])
     def test_pairs_are_the_count_vectors(self, monkeypatch, n, k):
-        # every (a, b) pair of positive weight, read as one count vector, is a row of the whole
-        # table with its probability, and is met once: padding pairs have weight 0
+        # every (a, b) pair of the blocks, read as one count vector, is a row of the whole table
+        # with its probability, and is met once
         counts, probs = composition_table(n, k)
         expected = {tuple(int(c) for c in row): p for row, p in zip(counts, probs)}
         split = compositions.split_table(n, k)
         for block in (7, 16_384):
             monkeypatch.setattr(compositions, "_BLOCK_PAIRS", block)
             met = {}
-            for a, wa, b, wb in compositions._split_blocks(split):
-                assert wa.size * wb.shape[1] <= block
-                for g in range(a.shape[0]):
-                    for row_a, weight_a in zip(a[g], wa[g]):
-                        for row_b, weight_b in zip(b[g], wb[g]):
-                            if weight_a * weight_b:
-                                row = tuple(int(c) for c in np.concatenate([row_a, row_b]))
-                                assert row not in met
-                                met[row] = weight_a * weight_b
+            for a_rows, b_rows in compositions._blocks(split):
+                pairs = itertools.product(
+                    zip(split.a[a_rows], split.weight_a[a_rows]), zip(split.b[b_rows], split.weight_b[b_rows])
+                )
+                for (row_a, weight_a), (row_b, weight_b) in pairs:
+                    row = tuple(int(c) for c in np.concatenate([row_a, row_b]))
+                    assert row not in met
+                    met[row] = weight_a * weight_b
             assert sorted(met) == sorted(expected)
             for row, p in expected.items():
                 assert met[row] == pytest.approx(p, rel=1e-13)
@@ -353,26 +351,51 @@ class TestSplitTable:
 
     @pytest.mark.parametrize("n, k", [(20, 8), (10, 10), (12, 7), (3, 4), (0, 1), (4, 2), (300, 3)])
     def test_nbytes_without_building(self, n, k):
+        # the counts are views of the table; beside it the split holds two weights a row, except
+        # for K <= 3, whose table is the whole table, weighed by its own probabilities
         nbytes = compositions.split_nbytes(n, k)
         split = compositions.split_table(n, k)
         counts, probs = composition_table(n, (k + 1) // 2 + 1)
-        if k % 2 == 0:  # the b's are the a's; for odd K, a copy of some of them
-            assert split.b.counts is split.a.counts
-        held = sum(array.nbytes for array in (split.a.counts, split.a.weights, split.b.weights))
-        held += split.b.counts.nbytes if k % 2 else 0
-        assert nbytes == held + counts.nbytes + probs.nbytes
+        assert all(view is counts or view.base is counts for view in (split.a, split.b))
+        if k in (2, 3):
+            assert split.weight_a is probs and nbytes == counts.nbytes + probs.nbytes
+        else:
+            assert nbytes == counts.nbytes + probs.nbytes + split.weight_a.nbytes + split.weight_b.nbytes
+
+    @pytest.mark.parametrize("n, k", [(0, 2), (5, 3), (300, 2), (300, 3)])
+    def test_small_k_reads_the_whole_table(self, n, k):
+        # m+1 = K columns: the split is composition_table(N, K) itself and holds nothing more
+        counts, probs = composition_table(n, k)
+        split = compositions.split_table(n, k)
+        assert compositions.split_nbytes(n, k) == compositions.table_nbytes(n, k)
+        assert np.shares_memory(split.a, counts) and split.weight_a is probs
+        assert split.runs == [(slice(0, counts.shape[0]), slice(0, 1))]
+        assert split.b.shape == (1, 0) and split.weight_b.tolist() == [1.0]
+
+    def test_small_k_pass_peaks_at_the_table(self):
+        # N=2000, K=3: 2,003,001 count vectors in a 28 MB table; the split held float64 copies of
+        # them and a weight each beside it, 76 MB in all, and its blocks stacked them through np.take
+        composition_table.cache_clear()
+        tracemalloc.start()
+        try:
+            split = compositions.split_table(2000, 3)
+            compositions.rate_terms(split, np.linspace(0.2, 1.0, 3) / 2000, 0.125, derivatives=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= compositions.table_nbytes(2000, 3) + 3e6
 
     @pytest.mark.parametrize(
-        "n, k, nbytes", [(9_999_999, 2, 400_000_000), (4470, 3, 379_963_464), (20, 8, 648_186), (10, 10, 210_210)]
+        "n, k, nbytes", [(9_999_999, 2, 160_000_000), (4470, 3, 139_960_184), (20, 8, 308_154), (10, 10, 90_090)]
     )
     def test_largest_markets_fit_the_byte_budget(self, n, k, nbytes):
         # the two widest tables the row budget admits, and the benchmark's markets
         assert compositions.split_nbytes(n, k) == nbytes
         assert nbytes + 8 * k * k <= compositions.MAX_SOLVE_BYTES
 
-    @pytest.mark.parametrize("n, k, needed", [(2, 4000, "36,232,093,025"), (1, 100_000, "102,501,700,025")])
+    @pytest.mark.parametrize("n, k, needed", [(2, 4000, "4,184,077,025"), (1, 100_000, "82,501,300,025")])
     def test_wide_market_refused_before_allocating(self, n, k, needed):
-        # within the row budget, but the split table and the K x K Newton Hessian would take tens of GB
+        # within the row budget, but the split table and the K x K Newton Hessian would take 4 and 83 GB
         composition_table.cache_clear()
         tracemalloc.start()
         try:
@@ -385,10 +408,13 @@ class TestSplitTable:
         assert peak < 100_000
 
     def test_block_bound(self, monkeypatch):
+        # at most 7 pairs a block, and all the C(N+K-1, K-1) count vectors, each once
         monkeypatch.setattr(compositions, "_BLOCK_PAIRS", 7)
-        blocks = list(compositions._split_blocks(compositions.split_table(9, 6)))
-        assert max(wa.size * wb.shape[1] for _, wa, _, wb in blocks) <= 7
-        assert sum(np.count_nonzero(wa[:, :, None] * wb[:, None, :]) for _, wa, _, wb in blocks) == math.comb(14, 5)
+        for k in (6, 5, 3, 1):
+            split = compositions.split_table(9, k)
+            sizes = [(a.stop - a.start) * (b.stop - b.start) for a, b in compositions._blocks(split)]
+            assert max(sizes) <= 7
+            assert sum(sizes) == math.comb(9 + k - 1, k - 1)
 
     def test_over_budget_refused_before_allocating(self):
         tracemalloc.start()
@@ -405,6 +431,15 @@ class TestExpectedSocialWelfare:
     def test_no_trade(self):
         profile = TypeProfile((1.0, 2.0))
         assert expected_social_welfare([0.0, 0.0], profile, 1.0, 1.0, 4) == 0.0
+
+    @pytest.mark.parametrize("q", [[0.5, math.nan], [-0.5, 1.0], [0.5, math.inf]])
+    def test_unusable_q_refused(self, q):
+        # a NaN or negative q gave NaN with a RuntimeWarning
+        profile = TypeProfile((1.0, 2.0))
+        with pytest.raises(ValueError, match="q must be nonnegative and finite"):
+            expected_social_welfare(q, profile, 1.0, 1.0, 4)
+        with pytest.raises(ValueError, match="q must be nonnegative and finite"):
+            expected_dap_utility(q, [0.0, 0.0], profile, 1.0, 1.0, 4)
 
     def test_matches_per_composition_oracle(self):
         profile = TypeProfile((0.5, 1.0, 2.5))

@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -279,6 +280,18 @@ class TestUtilityCurves:
             utility_curves(contract, profile, [11])
         with pytest.raises(ValueError, match="probe type"):
             utility_curves(contract, profile, [0])
+
+    @pytest.mark.parametrize("probe", [1.5, True, "2", math.nan])
+    def test_probe_not_an_integer(self, ten_type_solution, probe):
+        # 1.5 and True read type 1
+        profile, contract = ten_type_solution
+        with pytest.raises(ValueError, match="not an integer"):
+            utility_curves(contract, profile, [probe])
+
+    def test_integral_probes_of_any_number_type(self, ten_type_solution):
+        profile, contract = ten_type_solution
+        table = utility_curves(contract, profile, [np.int64(3), 6.0])
+        np.testing.assert_array_equal(table, utility_curves(contract, profile, [3, 6]))
 
 
 class TestMonteCarlo:

@@ -55,6 +55,12 @@ class TestRewardRecovery:
         profile = TypeProfile((4.0,))
         np.testing.assert_allclose(reward_recovery([2.0], profile), [1.0])
 
+    @pytest.mark.parametrize("q", [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0], [1.0, -2.0, 3.0], [1.0, math.nan, 3.0]])
+    def test_one_usable_entry_per_type(self, q):
+        # a short q gave 2 rewards for 3 types and a long one an IndexError
+        with pytest.raises(ValueError, match="length 3|nonnegative and finite"):
+            reward_recovery(q, TypeProfile((1.0, 2.0, 3.0)))
+
     @given(profile=ladders(), data=st.data())
     @settings(max_examples=150)
     def test_adjacent_indifference_binds(self, profile, data):
@@ -133,6 +139,8 @@ class TestReducedObjective:
         profile = TypeProfile((1.0,))
         with pytest.raises(ValueError):
             reduced_objective([-0.1], profile, 1.0, 1.0, 1)
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            reduced_objective([math.inf], profile, 1.0, 1.0, 1)
 
     def test_substitution_identity(self):
         rng = np.random.default_rng(17)
@@ -184,7 +192,7 @@ class TestReducedHessian:
             for _ in range(5):
                 q = rng.uniform(0.1, 2.0, size=k)
                 # at 5 pairs a block, (4, 5) cuts all its sums but the first into blocks, (3, 2)
-                # puts its four sums into one block, and (2, 3) its first two into a padded one
+                # reads its whole table, 4 rows, in one block, and (2, 3) its 6 rows in two
                 with mock.patch.object(compositions_module, "_BLOCK_PAIRS", 5):
                     hess = problem.newton_system(q)[1]
                 np.testing.assert_allclose(hess, hess.T, rtol=1e-14)
