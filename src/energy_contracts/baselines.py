@@ -5,7 +5,8 @@ optimum (upper bound) and a uniform per-unit energy price (lower benchmark).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -15,8 +16,10 @@ from .market import LN2, TypeProfile
 _NEWTON_MAX_ITERS = 100
 
 
+@lru_cache(maxsize=1)
 def _t_distribution(profile: TypeProfile, n_total: int) -> tuple[np.ndarray, np.ndarray]:
-    """Atoms and probabilities of T = sum_k n_k theta_k over the count vectors.
+    """Atoms and probabilities of T = sum_k n_k theta_k over the count vectors, read-only: a sweep
+    reads the one distribution of its ladder and N at every point, four times, so the last is cached.
 
     On an evenly spaced ladder T = N theta_1 + s delta, and s is the sum of N
     independent uniform draws from {0..K-1}: N(K-1)+1 atoms whose pmf is the
@@ -33,13 +36,16 @@ def _t_distribution(profile: TypeProfile, n_total: int) -> tuple[np.ndarray, np.
     if np.all(np.abs(np.diff(thetas) - delta) <= 1e-12 * delta):
         size = n_total * (k - 1) + 1
         pmf = np.fft.irfft(np.fft.rfft(np.full(k, 1.0 / k), size) ** n_total, size)
-        return n_total * thetas[0] + delta * np.arange(size), np.maximum(pmf, 0.0)
-    counts, probs = composition_table(n_total, k)  # einsum casts the narrow counts chunk by chunk
-    return np.einsum("ij,j->i", counts, thetas), probs
+        atoms, probs = n_total * thetas[0] + delta * np.arange(size), np.maximum(pmf, 0.0)
+    else:
+        counts, probs = composition_table(n_total, k)  # einsum casts the narrow counts chunk by chunk
+        atoms = np.einsum("ij,j->i", counts, thetas)
+    atoms.setflags(write=False)
+    probs.setflags(write=False)
+    return atoms, probs
 
 
-@dataclass(frozen=True)
-class CompleteInfoSolution:
+class CompleteInfoSolution(NamedTuple):
     """Full-information optimum for one realized count vector.
 
     Every type contributes q_k = lam * theta_k and is paid exactly its energy
@@ -97,8 +103,7 @@ def expected_complete_info_welfare(
     return float(probs @ welfare)
 
 
-@dataclass(frozen=True)
-class LinearPricingSolution:
+class LinearPricingSolution(NamedTuple):
     """Uniform price P per unit received power and the sellers' responses.
 
     A type-theta seller maximizes P q - q^2/theta, hence q = P theta / 2;

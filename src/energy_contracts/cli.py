@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import math
 import os
@@ -74,8 +73,8 @@ def default_config() -> dict:
 
     The scenario section is the ScenarioConfig defaults, tuples as JSON lists.
     """
-    fields = dataclasses.fields(ScenarioConfig)
-    scenario = {f.name: list(f.default) if isinstance(f.default, tuple) else f.default for f in fields}
+    defaults = ScenarioConfig._field_defaults
+    scenario = {name: list(value) if isinstance(value, tuple) else value for name, value in defaults.items()}
     return {
         "scenario": scenario,
         "solve": {"gamma": None, "tol": DEFAULT_TOL},
@@ -158,12 +157,12 @@ def scenario_from_config(cfg: dict) -> tuple[ScenarioConfig, dict]:
     over them. The budgets are checked before the scenario is built, which forms the K-type ladder."""
     values = {}
     try:
-        for f in dataclasses.fields(ScenarioConfig):
-            value = cfg["scenario"][f.name]
-            if isinstance(f.default, int):
-                values[f.name] = _config_int(value, f"scenario.{f.name}")
+        for name, default in ScenarioConfig._field_defaults.items():
+            value = cfg["scenario"][name]
+            if isinstance(default, int):
+                values[name] = _config_int(value, f"scenario.{name}")
             else:
-                values[f.name] = type(f.default)(value)
+                values[name] = type(default)(value)
         from .compositions import split_nbytes, table_rows
 
         n, k = values["n_eaps"], values["k_types"]
@@ -298,7 +297,7 @@ def cmd_solve(cfg: dict, run: dict, out_dir: Path, args) -> int:
         print(f"solver returned a menu that cannot be verified: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     record = _solve_record(run["gamma"], result)
-    payload = report.to_dict()
+    payload = report._asdict()
     payload["solver"] = {**record, "objective": result.objective, "monotone": result.monotone}
     files = {
         "contract.csv": (CONTRACT_COLUMNS, _contract_rows(profile, result.contract)),
@@ -394,7 +393,7 @@ def cmd_verify(cfg: dict, run: dict, out_dir: Path, args) -> int:
         report = feasibility.verify_contract(contract, profile, run["tol"])
     except ValueError as exc:
         raise ConfigError(f"{args.contract}: {exc}") from exc
-    files = {"feasibility.json": report.to_dict()}
+    files = {"feasibility.json": report._asdict()}
     _write_outputs(out_dir, "verify", cfg, files, {"contract_path": str(args.contract)})
     if not report.feasible:
         print(f"contract infeasible (min slack {report.min_slack:g})", file=sys.stderr)

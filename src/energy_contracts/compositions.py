@@ -234,6 +234,8 @@ def rate_terms(split: SplitTable, q: np.ndarray, gamma: float, derivatives: bool
     total, grad, hess = 0.0, np.zeros(q.size), np.zeros((q.size, q.size))
     for a_rows, b_rows in _blocks(split):
         a, wa, b, wb = split.a[a_rows], split.weight_a[a_rows], split.b[b_rows], split.weight_b[b_rows]
+        if derivatives:  # the Newton pass reads each count six times: widen it once
+            a, b = a.astype(np.float64), b.astype(np.float64)
         values = np.add.outer(a @ qa, b @ qb)  # gamma n.q over the block, (a's, b's), each step in place
         values *= gamma
         if not derivatives:

@@ -13,7 +13,7 @@ gap on small instances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .market import LN2, Contract, TypeProfile
 
@@ -60,9 +60,8 @@ def _nondecreasing(values: tuple[float, ...], tol: float) -> bool:
     return all(b - a >= -tol for a, b in zip(values, values[1:]))
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
-    """Structured verdict over one menu, serializable for the CLI."""
+class FeasibilityReport(NamedTuple):
+    """Structured verdict over one menu; its _asdict() is the payload of feasibility.json."""
 
     ir_slacks: tuple[float, ...]
     ic_slack_matrix: tuple[tuple[float, ...], ...]
@@ -72,18 +71,6 @@ class FeasibilityReport:
     min_slack: float
     feasible: bool
     tol: float
-
-    def to_dict(self) -> dict:
-        return {
-            "tol": self.tol,
-            "feasible": self.feasible,
-            "min_slack": self.min_slack,
-            "monotone_q": self.monotone_q,
-            "monotone_pi": self.monotone_pi,
-            "self_reveal": list(self.self_reveal),
-            "ir_slacks": list(self.ir_slacks),
-            "ic_slack_matrix": [list(row) for row in self.ic_slack_matrix],
-        }
 
 
 def verify_contract(contract: Contract, profile: TypeProfile, tol: float = DEFAULT_TOL) -> FeasibilityReport:
@@ -114,8 +101,7 @@ def verify_contract(contract: Contract, profile: TypeProfile, tol: float = DEFAU
     )
 
 
-@dataclass(frozen=True)
-class GridConfig:
+class GridConfig(NamedTuple):
     """Controls for the exhaustive grid oracle.
 
     points_per_axis grid nodes per refinement level; the window shrinks

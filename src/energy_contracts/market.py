@@ -14,8 +14,7 @@ functions that return or take arrays import it when called.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -23,8 +22,7 @@ if TYPE_CHECKING:
 LN2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
-class TypeProfile:
+class TypeProfile(NamedTuple("TypeProfile", [("thetas", tuple[float, ...])])):
     """Ascending ladder of K seller quality values theta_1 < ... < theta_K.
 
     A seller's quality is G^2/a, its link gain squared over its energy cost
@@ -33,16 +31,20 @@ class TypeProfile:
     has each quality with probability 1/K.
     """
 
-    thetas: tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "thetas", tuple(float(t) for t in self.thetas))
-        if len(self.thetas) < 1:
+    def __new__(cls, thetas):
+        thetas = tuple(float(t) for t in thetas)
+        if len(thetas) < 1:
             raise ValueError("at least one type is required")
-        if not all(0.0 < t < math.inf for t in self.thetas):
+        if not all(0.0 < t < math.inf for t in thetas):
             raise ValueError("type values must be positive and finite")
-        if any(b <= a for a, b in zip(self.thetas, self.thetas[1:])):
+        if any(b <= a for a, b in zip(thetas, thetas[1:])):
             raise ValueError("type values must be strictly increasing")
+        return super().__new__(cls, thetas)
+
+    # a namedtuple's own _make, which _replace calls, builds through tuple.__new__ and skips the checks
+    _make = classmethod(lambda cls, values: cls(*values))
 
     @property
     def k(self) -> int:
@@ -54,50 +56,52 @@ class TypeProfile:
         return np.asarray(self.thetas, dtype=float)
 
 
-@dataclass(frozen=True)
-class ContractItem:
+class ContractItem(NamedTuple("ContractItem", [("q", float), ("pi", float)])):
     """One menu entry: promised received power q against reward pi.
 
     The pair (0, 0) encodes non-participation.
     """
 
-    q: float
-    pi: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (0.0 <= self.q < math.inf and 0.0 <= self.pi < math.inf):
-            raise ValueError(f"contract item must be nonnegative and finite, got ({self.q}, {self.pi})")
+    def __new__(cls, q, pi):
+        if not (0.0 <= q < math.inf and 0.0 <= pi < math.inf):
+            raise ValueError(f"contract item must be nonnegative and finite, got ({q}, {pi})")
+        return super().__new__(cls, q, pi)
+
+    _make = classmethod(lambda cls, values: cls(*values))  # checked, as TypeProfile's
 
 
-@dataclass(frozen=True)
-class Contract:
-    """A menu of K items, index-aligned with the type ladder."""
+class Contract(tuple):
+    """A menu of K items, index-aligned with the type ladder: a tuple whose
+    entries are ContractItems, each (q, pi) pair built as one and so checked."""
 
-    items: tuple[ContractItem, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "items", tuple(self.items))
+    def __new__(cls, items):
+        return super().__new__(cls, (ContractItem(*item) for item in items))
 
     @classmethod
     def from_arrays(cls, q: Sequence[float], pi: Sequence[float]) -> "Contract":
         if len(q) != len(pi):
             raise ValueError("q and pi must have equal length")
-        return cls(tuple(ContractItem(float(a), float(b)) for a, b in zip(q, pi)))
+        return cls((float(a), float(b)) for a, b in zip(q, pi))
 
-    def __len__(self) -> int:
-        return len(self.items)
+    @property
+    def items(self) -> tuple[ContractItem, ...]:
+        return tuple(self)
 
     @property
     def qs(self) -> np.ndarray:
         import numpy as np
 
-        return np.array([item.q for item in self.items])
+        return np.array([item.q for item in self])
 
     @property
     def pis(self) -> np.ndarray:
         import numpy as np
 
-        return np.array([item.pi for item in self.items])
+        return np.array([item.pi for item in self])
 
 
 def throughput(total_received_q: float, gamma: float, bandwidth_w: float) -> float:

@@ -13,8 +13,7 @@ the solver import numpy and those modules when called.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .market import Contract, TypeProfile
 
@@ -32,18 +31,7 @@ RNG_ALGORITHM = "pcg64"  # numpy default_rng; recorded in run metadata
 DEFAULT_GAMMA_STEPS = 9  # points of the default SNR-slope grid
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """Deployment and market parameters; defaults reproduce the reference
-    simulation setup.
-
-    Distances in meters, noise in mW, bandwidth in Hz. Ranges are inclusive
-    [low, high] pairs. power_unit selects the unit q is expressed in; "uW"
-    keeps the solver numbers well scaled for these defaults. Every number
-    must be finite, and the type ladder and the SNR-slope range are built
-    once here, so a config they cannot use is refused on construction.
-    """
-
+class _ScenarioConfig(NamedTuple):
     n_eaps: int = 2
     k_types: int = 5
     a_range: tuple[float, float] = (0.1, 1.0)
@@ -57,7 +45,22 @@ class ScenarioConfig:
     rng_seed: int = 20260808
     power_unit: str = "uW"
 
-    def __post_init__(self):
+
+class ScenarioConfig(_ScenarioConfig):
+    """Deployment and market parameters; defaults reproduce the reference
+    simulation setup.
+
+    Distances in meters, noise in mW, bandwidth in Hz. Ranges are inclusive
+    [low, high] pairs. power_unit selects the unit q is expressed in; "uW"
+    keeps the solver numbers well scaled for these defaults. Every number
+    must be finite, and the type ladder and the SNR-slope range are built
+    once here, so a config they cannot use is refused on construction.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.n_eaps < 0:
             raise ValueError("n_eaps must be nonnegative")
         if self.k_types < 1:
@@ -80,6 +83,9 @@ class ScenarioConfig:
         # building them is the check: TypeProfile validates theta, channel_gain the distances
         build_type_ladder(self)
         gamma_range(self)
+        return self
+
+    _make = classmethod(lambda cls, values: cls(*values))  # checked, as market.TypeProfile's
 
 
 def channel_gain(distance_m: float, alpha: float, ref_atten_db: float) -> float:
@@ -163,8 +169,7 @@ class SweepError(RuntimeError):
         self.gamma = gamma
 
 
-@dataclass
-class SweepResult:
+class SweepResult(NamedTuple):
     """Per-gamma expected social welfare of the three mechanisms plus the
     ratios of the two implementable ones to the full-information bound."""
 
@@ -174,7 +179,7 @@ class SweepResult:
     welfare_linear: np.ndarray
     normalized_contract: np.ndarray
     normalized_linear: np.ndarray
-    solve_results: list[SolveResult] = field(default_factory=list, repr=False)
+    solve_results: list[SolveResult]
 
     def rows(self) -> list[tuple[float, float, float, float, float, float]]:
         return [

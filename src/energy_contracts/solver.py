@@ -12,8 +12,7 @@ partial derivative is positive at q_k = 0), solved here by damped Newton.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,8 +29,7 @@ _GRAD_TOL = 1e-8  # at convergence the gradient norm is at most this
 _MAX_ITERS = 10_000  # a solve that has not converged after this many Newton steps stops and says so
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     """Outcome of one solve.
 
     kkt_residual is the gradient norm at the returned point;

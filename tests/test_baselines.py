@@ -21,6 +21,7 @@ from energy_contracts import (
     linear_expected_social_welfare,
     linear_pricing_optimize,
     reference_gamma,
+    run_sweep,
     social_welfare,
     solve,
 )
@@ -56,6 +57,18 @@ class TestTDistribution:
         t_rows = counts @ profile.as_array()
         for f in (np.ones_like, lambda t: t, lambda t: t * t, np.log1p, lambda t: 1.0 / (1.0 + t)):
             assert p_atoms @ f(t_atoms) == pytest.approx(probs @ f(t_rows), rel=1e-12)
+
+    def test_a_sweep_builds_one_read_only_pmf(self):
+        # four readers at each of the 9 default points share the one distribution of the ladder and N
+        cfg = ScenarioConfig(n_eaps=10, k_types=10)
+        baselines._t_distribution.cache_clear()
+        run_sweep(cfg)
+        info = baselines._t_distribution.cache_info()
+        assert (info.misses, info.hits) == (1, 35)
+        t_atoms, p_atoms = baselines._t_distribution(build_type_ladder(cfg), cfg.n_eaps)
+        assert not t_atoms.flags.writeable and not p_atoms.flags.writeable
+        uneven = baselines._t_distribution(TypeProfile((0.5, 1.0, 2.0)), 3)
+        assert not any(array.flags.writeable for array in uneven)
 
     def test_uneven_ladder_reads_the_table(self):
         profile = TypeProfile((0.5, 1.0, 2.0))

@@ -162,7 +162,7 @@ class TestConfigHandling:
         for key, value in (("grad_tol", 1e-6), ("max_iters", 50)):
             self._assert_solver_section_refused(tmp_path, capsys, command, key, value)
 
-    def test_defaults_come_from_the_dataclasses(self):
+    def test_defaults_come_from_the_records(self):
         cfg = resolve_config(None)
         assert scenario_from_config(cfg)[0] == ScenarioConfig()
         assert cfg["solve"]["tol"] == DEFAULT_TOL
@@ -755,27 +755,29 @@ class TestTableLookups:
         assert table_lookups(argv) == (0, 0)
 
 
-# runs cli.main on its arguments (none: only the import) and prints its exit code and whether numpy was loaded
-NUMPY_PROBE = """
+# runs cli.main on its arguments (none: only the import) and prints its exit code and which of numpy
+# and dataclasses it loaded
+IMPORT_PROBE = """
 import sys
 from energy_contracts import cli
 try:
     code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
 except SystemExit as exc:
     code = exc.code
-print(code, "numpy" in sys.modules)
+print(code, *sorted({"numpy", "dataclasses"} & set(sys.modules)))
 """
 
 
-def numpy_probe(argv: list[str]) -> tuple[int, bool]:
-    """(exit code, numpy loaded) of a fresh interpreter that imports the package under test and runs argv."""
+def import_probe(argv: list[str]) -> tuple[int, set[str]]:
+    """(exit code, which of numpy and dataclasses were loaded) of a fresh interpreter that imports the
+    package under test and runs argv."""
     src = Path(energy_contracts.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run(
-        [sys.executable, "-c", NUMPY_PROBE, *argv], env=env, capture_output=True, text=True, timeout=120, check=True
+        [sys.executable, "-c", IMPORT_PROBE, *argv], env=env, capture_output=True, text=True, timeout=120, check=True
     )
-    code, loaded = proc.stdout.splitlines()[-1].split()
-    return int(code), loaded == "True"
+    code, *loaded = proc.stdout.splitlines()[-1].split()
+    return int(code), set(loaded)
 
 
 class TestNumpyFreeCommands:
@@ -783,18 +785,28 @@ class TestNumpyFreeCommands:
     time and memory. Only the commands that sum an expectation load it."""
 
     def test_importing_the_cli_loads_no_numpy(self):
-        assert numpy_probe([]) == (0, False)
+        code, loaded = import_probe([])
+        assert code == 0 and "numpy" not in loaded
+
+    def test_importing_the_cli_loads_no_dataclasses(self):
+        # its import pulls in inspect, ast, dis and tokenize: about 11 ms of every command's start-up
+        code, loaded = import_probe([])
+        assert code == 0 and "dataclasses" not in loaded
 
     def test_verify_loads_no_numpy(self, tmp_path):
-        assert numpy_probe(["solve", "--out", str(tmp_path / "run")]) == (0, True)
+        code, loaded = import_probe(["solve", "--out", str(tmp_path / "run")])
+        assert code == 0 and "numpy" in loaded
         argv = ["verify", "--contract", str(tmp_path / "run" / "contract.csv"), "--out", str(tmp_path / "v")]
-        assert numpy_probe(argv) == (0, False)
+        code, loaded = import_probe(argv)
+        assert code == 0 and "numpy" not in loaded
         assert json.loads((tmp_path / "v" / "feasibility.json").read_text())["feasible"] is True
 
     def test_help_and_config_errors_load_no_numpy(self, tmp_path):
-        assert numpy_probe(["--help"]) == (0, False)
+        code, loaded = import_probe(["--help"])
+        assert code == 0 and "numpy" not in loaded
         path = write_config(tmp_path, {"scenario": {"n_eaps": 2, "k_types": 5}, "solver": {}})
-        assert numpy_probe(["solve", "--config", path, "--out", str(tmp_path / "x")]) == (1, False)
+        code, loaded = import_probe(["solve", "--config", path, "--out", str(tmp_path / "x")])
+        assert code == 1 and "numpy" not in loaded
 
 
 def test_version_matches_pyproject():

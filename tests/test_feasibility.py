@@ -108,7 +108,7 @@ class TestVerifyContract:
         assert report.monotone_q and report.monotone_pi
         assert all(report.self_reveal)
         assert report.min_slack == pytest.approx(0.0, abs=1e-15)
-        payload = report.to_dict()
+        payload = report._asdict()
         assert payload["feasible"] is True
         assert len(payload["ic_slack_matrix"]) == 2
 
