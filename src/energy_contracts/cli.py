@@ -152,8 +152,8 @@ def _positive_finite(value, name: str) -> float:
 
 def scenario_from_config(cfg: dict) -> tuple[ScenarioConfig, dict]:
     """The scenario, each value converted by the type of its field's default, and its table record:
-    the count vectors an expectation pass sums ("rows") and the bytes of the split table that weighs
-    them ("bytes"). Refused when they are over split_nbytes's budgets: every command but verify sums
+    the count vectors an expectation pass sums ("rows") and the bytes of the table the split reads
+    ("bytes"). Refused when they are over split_nbytes's budgets: every command but verify sums
     over them. The budgets are checked before the scenario is built, which forms the K-type ladder."""
     values = {}
     try:

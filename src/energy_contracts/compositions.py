@@ -8,8 +8,8 @@ and deterministic (ascending lexicographic order) so sums are bit-reproducible.
 The table is written column by column into its final array, in the narrowest
 unsigned integer that holds N: no table-sized intp or float64 array is formed.
 rate_terms reads the same sum off a split table: pairs of count vectors over
-ceil(K/2) and K - ceil(K/2) types, both views of the table of ceil(K/2)+1 columns,
-which for K <= 3 is the whole table.
+ceil(K/2) and K - ceil(K/2) types, both views of the table of ceil(K/2)+1 columns
+and weighed by its own probabilities; for K <= 3 the whole table is read instead.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from .market import LN2, TypeProfile
 # Most count vectors a market may have: (20, 8) has 888,030; (10, 20), 20,030,010, is refused. It bounds
 # each rate_terms pass's evaluations, and the oracle's table, which at (10, 20) would take 560 MB.
 MAX_TABLE_ROWS = 10_000_000
-# Most bytes a solve may hold in its split table and K x K Newton Hessian: (2, 4000) and (1, 100000) pass
-# the row budget with a few million rows but need 36 GB and 102 GB, so it refuses them; (20, 8) needs 648 kB.
+# Most bytes a solve may hold in the table its split reads and the K x K Newton Hessian: (2, 4000) and
+# (1, 100000) pass the row budget with a few million rows but need 4.2 and 83 GB; (20, 8) needs 139 kB.
 MAX_SOLVE_BYTES = 2**29
 _BLOCK_ROWS = 4096  # rows per block of a table's log-factorial sums; bounds their temporaries to rows x K
 _BLOCK_PAIRS = 16_384  # (a, b) pairs per split-table block; bounds each rate_terms pass's temporaries
@@ -106,7 +106,7 @@ def composition_table(n_total: int, k_types: int) -> tuple[np.ndarray, np.ndarra
     rows = table_rows(n_total, k_types)
     counts = _counts(n_total, k_types, rows)
     # log-factorial sums and exp block by block into probs: no rows-sized temporary beyond the table
-    lgamma = np.array([math.lgamma(i + 1) for i in range(n_total + 1)])
+    lgamma = np.fromiter(map(math.lgamma, range(1, n_total + 2)), float, count=n_total + 1)
     probs = np.empty(rows)
     for block in _row_blocks(rows):
         np.exp(lgamma[n_total] - lgamma[counts[block]].sum(axis=1) - n_total * math.log(k_types), out=probs[block])
@@ -133,41 +133,40 @@ class SplitTable(NamedTuple):
     slack N - r of a row whose other columns, an a, sum to r. In the table's order the rows of each
     slack are contiguous, and those with a 0 in column 1 come first. So the a's of sum r are the rows
     of slack N-r, and the b's of sum s, the last K-m columns, are the first rows of slack N-s: all of
-    them when K is even, and when K is odd those with that 0. Each row is weighed as an a and as a b
-    (a row that is no b has a b weight nothing reads), so that weight_a(a) weight_b(b) is the
+    them when K is even, and when K is odd those with that 0. Both are weighed by the table's own
+    probabilities p, and a pair of sum r by one factor more, c_r, so that p(a) p(b) c_r is the
     multinomial probability of (a, b):
 
-        weight_a = N! / ((N-r)! prod a!) K^-N (K-m)^(N-r)     weight_b = s! / prod b! (K-m)^-s
+        p(a) p(b) = N! C(N, r) / (prod a! prod b!) (m+1)^-2N      c_r = (m+1)^2N / (K^N C(N, r))
 
-    runs holds, for each sum r, the rows of its a's and of the b's of sum N-r they pair with. For
-    K <= 3 the table is the whole table: a is every count vector, weight_a its probability, and one
-    run pairs them with b, the one empty vector, of weight 1.
+    runs holds, for each sum r, the rows of its a's, those of the b's of sum N-r they pair with, and
+    c_r. For K <= 3 a is the whole table composition_table(N, K), weighed by its probabilities, and
+    one run pairs it with b, the one empty vector, of weight 1, at c = 1.
     """
 
     a: np.ndarray
     weight_a: np.ndarray
     b: np.ndarray
     weight_b: np.ndarray
-    runs: list[tuple[slice, slice]]
+    runs: list[tuple[slice, slice, float]]
 
 
 def split_nbytes(n_total: int, k_types: int) -> int:
-    """Bytes a split_table holds with the composition_table it reads, without building either: the
-    table, and two float64 weights per row unless K <= 3, where the table's probabilities weigh it.
-    Checked before anything is allocated (ValueError over a budget): the market's count vectors
-    and the table's C(N+m, m) rows, m = ceil(K/2), against MAX_TABLE_ROWS, and these bytes with
-    the 8K^2 of the solver's Newton Hessian against MAX_SOLVE_BYTES. Only at K=1 is the table the
-    larger count: N+1 rows weigh the one count vector."""
+    """Bytes of the composition_table a split_table reads, without building either: the split holds
+    only views of it and a float per sum. Checked before anything is allocated (ValueError over a
+    budget): the market's count vectors and the C(N+m, m) rows of the table of m+1 columns, m =
+    ceil(K/2), against MAX_TABLE_ROWS, and these bytes with the 8K^2 of the Newton Hessian against
+    MAX_SOLVE_BYTES. K <= 3 reads the whole table, and C(N+m, m) then bounds its N+1 log-factorials."""
     table_rows(n_total, k_types)
     m = (k_types + 1) // 2
     rows = math.comb(n_total + m, m)
     if rows > MAX_TABLE_ROWS:
         raise ValueError(
-            f"{n_total} sellers need a split table of {rows:,} rows, "
+            f"{n_total} sellers need {rows:,} rows of split table or log-factorials, "
             f"over the composition table's budget of {MAX_TABLE_ROWS:,} rows"
         )
-    # past the check above, table_rows(N, m+1) = rows cannot raise its message of m+1 types
-    nbytes = table_nbytes(n_total, m + 1) + (16 * rows if k_types - m != 1 else 0)
+    # past the checks above, table_rows cannot raise its message of more types
+    nbytes = table_nbytes(n_total, k_types if k_types <= 3 else m + 1)
     if (needed := nbytes + 8 * k_types**2) > MAX_SOLVE_BYTES:
         raise ValueError(
             f"{n_total} sellers over {k_types} types need {needed:,} bytes of split table "
@@ -180,45 +179,36 @@ def split_table(n_total: int, k_types: int) -> SplitTable:
     """The SplitTable of N sellers over K types, from one composition_table lookup.
     Markets refused by split_nbytes raise its ValueError."""
     split_nbytes(n_total, k_types)
+    if k_types <= 3:
+        counts, probs = composition_table(n_total, k_types)
+        return SplitTable(counts, probs, counts[:1, k_types:], np.ones(1), [(slice(0, len(counts)), slice(0, 1), 1.0)])
     m = (k_types + 1) // 2
     types_b = k_types - m
     counts, probs = composition_table(n_total, m + 1)
-    rows = counts.shape[0]
-    # K = 2, 3: the table of m+1 = K columns is the whole table, already weighed by its probabilities;
-    # a split into m and 1 types would only add two weights a row and a run per sum of one b each
-    if types_b == 1:
-        return SplitTable(counts, probs, counts[:1, k_types:], np.ones(1), [(slice(0, rows), slice(0, 1))])
-    # a's and b's of sum s, the count vectors of s over m and over K-m types; over none, only s = 0 has one
-    size_a, size_b = ([math.comb(max(s + j - 1, 0), s) for s in range(n_total + 1)] for j in (m, types_b))
+    # a's and b's of sum s, the count vectors of s over m and over K-m types
+    size_a, size_b = ([math.comb(s + j - 1, s) for s in range(n_total + 1)] for j in (m, types_b))
     start = list(accumulate(size_a[::-1], initial=0))  # first row of each slack
+    # c_r is a ratio of exact integers, rounded once, over the table's total squared: the rounding of
+    # lgamma(N+1) - N ln(m+1) is common to every probability, and twice in a pair, unless divided out
+    power, k_power, total = (m + 1) ** (2 * n_total), k_types**n_total, float(probs.sum())
     runs = [
-        (slice(start[n_total - r], start[n_total - r + 1]), slice(start[r], start[r] + size_b[n_total - r]))
+        (slice(start[n_total - r], start[n_total - r + 1]), slice(start[r], start[r] + size_b[n_total - r]),
+         power / (k_power * math.comb(n_total, r)) / total**2)
         for r in range(n_total + 1)
-        if size_b[n_total - r]  # K=1: only the sum N has a b
     ]
-    # log (K-m)^i; K=1 leaves group B no type, and its one b, of sum 0, weight 0^0 = 1
-    log_pow = np.zeros(n_total + 1)
-    log_pow[1:] = np.arange(1, n_total + 1) * math.log(types_b) if types_b else -np.inf
-    lgamma = np.array([math.lgamma(i + 1) for i in range(n_total + 1)])
-    weight_a, weight_b = np.empty(rows), np.empty(rows)
-    for block in _row_blocks(rows):
-        rest = counts[block, 0].astype(np.intp)
-        log_factorials = lgamma[counts[block, 1:]].sum(axis=1)  # log prod a!, and a b's: the column it drops is 0
-        log_a = lgamma[n_total] - lgamma[rest] - log_factorials
-        np.exp(log_a - n_total * math.log(k_types) + log_pow[rest], out=weight_a[block])
-        np.exp(lgamma[n_total - rest] - log_factorials - log_pow[n_total - rest], out=weight_b[block])
-    return SplitTable(counts[:, 1:], weight_a, counts[:, m + 1 - types_b :], weight_b, runs)
+    return SplitTable(counts[:, 1:], probs, counts[:, m + 1 - types_b :], probs, runs)
 
 
 def _blocks(split: SplitTable):
-    """(a rows, b rows) slices of at most _BLOCK_PAIRS pairs: each run's a's x b's, cut across its b's
-    when it has more b's than that, and across its a's otherwise."""
-    for a_rows, b_rows in split.runs:
+    """(a rows, b rows, c) of at most _BLOCK_PAIRS pairs: each run's a's x b's, cut across its b's
+    when it has more b's than that, and across its a's otherwise, with the run's c."""
+    for a_rows, b_rows, scale in split.runs:
         b_step = min(b_rows.stop - b_rows.start, _BLOCK_PAIRS)
         a_step = _BLOCK_PAIRS // b_step
         for a_lo in range(a_rows.start, a_rows.stop, a_step):
+            a_block = slice(a_lo, min(a_lo + a_step, a_rows.stop))
             for b_lo in range(b_rows.start, b_rows.stop, b_step):
-                yield slice(a_lo, min(a_lo + a_step, a_rows.stop)), slice(b_lo, min(b_lo + b_step, b_rows.stop))
+                yield a_block, slice(b_lo, min(b_lo + b_step, b_rows.stop)), scale
 
 
 def rate_terms(split: SplitTable, q: np.ndarray, gamma: float, derivatives: bool = False):
@@ -228,12 +218,12 @@ def rate_terms(split: SplitTable, q: np.ndarray, gamma: float, derivatives: bool
         E[slope n] and E[slope^2 n n^T],   slope = gamma / (1 + gamma n.q),
 
     gamma folded into the slope so that both stay finite at any finite gamma. Each block sums
-    weight_a^T f(a.q + b.q) weight_b over its (a, b) pairs, both read as slices of the table."""
+    (c weight_a)^T f(a.q + b.q) weight_b over its (a, b) pairs, both read as slices of the table."""
     m = split.a.shape[1]
     qa, qb = q[:m], q[m:]
     total, grad, hess = 0.0, np.zeros(q.size), np.zeros((q.size, q.size))
-    for a_rows, b_rows in _blocks(split):
-        a, wa, b, wb = split.a[a_rows], split.weight_a[a_rows], split.b[b_rows], split.weight_b[b_rows]
+    for a_rows, b_rows, scale in _blocks(split):
+        a, wa, b, wb = split.a[a_rows], scale * split.weight_a[a_rows], split.b[b_rows], split.weight_b[b_rows]
         if derivatives:  # the Newton pass reads each count six times: widen it once
             a, b = a.astype(np.float64), b.astype(np.float64)
         values = np.add.outer(a @ qa, b @ qb)  # gamma n.q over the block, (a's, b's), each step in place

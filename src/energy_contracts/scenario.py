@@ -46,6 +46,16 @@ class _ScenarioConfig(NamedTuple):
     power_unit: str = "uW"
 
 
+def _integer(value, name: str) -> int:
+    """value as an int; ValueError for a bool or a number that is not integral."""
+    import numbers  # not loaded by the CLI's import
+
+    integral = isinstance(value, numbers.Integral) or (isinstance(value, numbers.Real) and float(value).is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ValueError(f"{name} {value!r} is not an integer")
+    return int(value)
+
+
 class ScenarioConfig(_ScenarioConfig):
     """Deployment and market parameters; defaults reproduce the reference
     simulation setup.
@@ -53,14 +63,16 @@ class ScenarioConfig(_ScenarioConfig):
     Distances in meters, noise in mW, bandwidth in Hz. Ranges are inclusive
     [low, high] pairs. power_unit selects the unit q is expressed in; "uW"
     keeps the solver numbers well scaled for these defaults. Every number
-    must be finite, and the type ladder and the SNR-slope range are built
-    once here, so a config they cannot use is refused on construction.
+    must be finite and every count an integer; the type ladder and SNR-slope
+    range are built once here, so a config they cannot use is refused.
     """
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
+        counts = {name: _integer(getattr(self, name), name) for name in ("n_eaps", "k_types", "rng_seed")}
+        self = super().__new__(cls, **{**self._asdict(), **counts})
         if self.n_eaps < 0:
             raise ValueError("n_eaps must be nonnegative")
         if self.k_types < 1:
@@ -253,15 +265,12 @@ def run_sweep(cfg: ScenarioConfig, gamma_grid=None) -> SweepResult:
 def check_probe_types(probe_types, k: int) -> list[int]:
     """The 1-based probe types as ints; ValueError for a bool, a number that is not integral, or
     one outside 1..k."""
-    import numbers  # not loaded by the CLI's import
-
+    probes = []
     for t in probe_types:
-        integral = isinstance(t, numbers.Integral) or (isinstance(t, numbers.Real) and float(t).is_integer())
-        if isinstance(t, bool) or not integral:
-            raise ValueError(f"probe type {t!r} is not an integer")
-        if not 1 <= int(t) <= k:
+        probes.append(_integer(t, "probe type"))
+        if not 1 <= probes[-1] <= k:
             raise ValueError(f"probe type {t} outside 1..{k}")
-    return [int(t) for t in probe_types]
+    return probes
 
 
 def utility_curves(contract: Contract, profile: TypeProfile, probe_types) -> np.ndarray:

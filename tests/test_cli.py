@@ -698,14 +698,14 @@ class TestOutputFiles:
     @pytest.mark.parametrize("command", ["solve", "sweep", "curves"])
     def test_manifest_records_the_table(self, tmp_path, command):
         # N=3, K=4: C(6, 3) = 20 count vectors, summed over a split table read from composition_table(3, 3):
-        # 10 rows of 3 uint8 counts and a float64 probability, then 2 float64 weights each
+        # 10 rows of 3 uint8 counts and a float64 probability, which weigh the pairs themselves
         cfg = write_config(tmp_path, {"scenario": {"n_eaps": 3, "k_types": 4}})
         args = [command, "--gamma-steps", "2"] if command == "sweep" else [command]
         out = tmp_path / "out"
         composition_table.cache_clear()
         assert main(args + ["--config", cfg, "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["table"] == {"rows": 20, "bytes": 10 * (3 + 8) + 10 * 2 * 8}
+        assert manifest["table"] == {"rows": 20, "bytes": 10 * (3 + 8)}
         # the record is computed, not read from a second table lookup
         if command != "sweep":
             assert composition_table.cache_info().hits == 0

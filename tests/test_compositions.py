@@ -160,15 +160,18 @@ class TestVectorisedBuild:
             assert not array.flags.writeable
 
     def test_cold_build_peaks_at_the_table(self):
-        # N=20, K=8 holds 14.2 MB; a rows-sized intp index array alone would add 7.1 MB to the peak
-        composition_table.cache_clear()
-        tracemalloc.start()
-        try:
-            counts, probs = composition_table(20, 8)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= counts.nbytes + probs.nbytes + 5e6
+        # N=20, K=8 holds 14.2 MB; a rows-sized intp index array alone would add 7.1 MB to the peak.
+        # N=1,000,000, K=2 holds 16 MB and is built from 8 MB of float64 log-factorials, which a
+        # list of Python floats held four times over
+        for n, k, log_factorials in [(20, 8, 0), (1_000_000, 2, 8_000_008)]:
+            composition_table.cache_clear()
+            tracemalloc.start()
+            try:
+                counts, probs = composition_table(n, k)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= counts.nbytes + probs.nbytes + log_factorials + 5e6
 
     @pytest.mark.parametrize("n, k", [(20, 8), (10, 10), (300, 3), (0, 1), (70_000, 2)])
     def test_nbytes_without_building(self, n, k):
@@ -263,13 +266,16 @@ class TestRateTerms:
     these whole-table sums."""
 
     @pytest.mark.parametrize(
-        "n,k,gamma", [(1, 1, 1.0), (2, 5, 0.125), (6, 5, 3.0), (10, 3, 40.0), (5, 6, 1e-300), (5, 6, 1e290)]
+        "n,k,gamma",
+        [(1, 1, 1.0), (2, 5, 0.125), (6, 5, 3.0), (10, 3, 40.0), (5, 6, 1e-300), (5, 6, 1e290)]
+        + [(100, 4, 0.125), (30, 6, 1.0)],
     )
     def test_matches_whole_table_sums(self, monkeypatch, n, k, gamma):
         q = np.linspace(0.2, 1.0, k)
         value, grad, hess = whole_table_terms(n, k, q, gamma)
-        # the split weighs composition_table(n, ceil(k/2)+1) in blocks of 64 rows: the 84 rows of
-        # (6, 5) end in a partial block
+        # the split reads composition_table(n, ceil(k/2)+1), built in blocks of 64 rows: the 84 rows of
+        # (6, 5) end in a partial block. At (100, 4) c_r reaches 1.7e35 and the table's probabilities
+        # fall to 1.9e-48; their products, like (30, 6)'s, hold the whole table's sums
         monkeypatch.setattr(compositions, "_BLOCK_ROWS", 64)
         split = compositions.split_table(n, k)
         # 5 pairs a block cut every sum of (6, 5), across its b's or across its a's, four of them
@@ -321,55 +327,55 @@ class TestSplitTable:
     @pytest.mark.parametrize("n, k", [(0, 1), (4, 1), (3, 2), (5, 3), (6, 5), (4, 6), (7, 7), (6, 8)])
     def test_pairs_are_the_count_vectors(self, monkeypatch, n, k):
         # every (a, b) pair of the blocks, read as one count vector, is a row of the whole table
-        # with its probability, and is met once
+        # with its probability p(a) p(b) c_r, and is met once
         counts, probs = composition_table(n, k)
         expected = {tuple(int(c) for c in row): p for row, p in zip(counts, probs)}
         split = compositions.split_table(n, k)
         for block in (7, 16_384):
             monkeypatch.setattr(compositions, "_BLOCK_PAIRS", block)
             met = {}
-            for a_rows, b_rows in compositions._blocks(split):
+            for a_rows, b_rows, scale in compositions._blocks(split):
                 pairs = itertools.product(
                     zip(split.a[a_rows], split.weight_a[a_rows]), zip(split.b[b_rows], split.weight_b[b_rows])
                 )
                 for (row_a, weight_a), (row_b, weight_b) in pairs:
                     row = tuple(int(c) for c in np.concatenate([row_a, row_b]))
                     assert row not in met
-                    met[row] = weight_a * weight_b
+                    met[row] = weight_a * weight_b * scale
             assert sorted(met) == sorted(expected)
             for row, p in expected.items():
                 assert met[row] == pytest.approx(p, rel=1e-13)
 
     @pytest.mark.parametrize("n, k", [(20, 8), (10, 10), (12, 7), (0, 1), (300, 3), (5, 2)])
     def test_looks_one_table_up(self, n, k):
-        # the table of ceil(K/2)+1 columns, for every K
+        # the table of ceil(K/2)+1 columns, or for K <= 3 the whole table
         composition_table.cache_clear()
         compositions.split_table(n, k)
-        composition_table(n, (k + 1) // 2 + 1)
+        composition_table(n, k if k <= 3 else (k + 1) // 2 + 1)
         info = composition_table.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
     @pytest.mark.parametrize("n, k", [(20, 8), (10, 10), (12, 7), (3, 4), (0, 1), (4, 2), (300, 3)])
     def test_nbytes_without_building(self, n, k):
-        # the counts are views of the table; beside it the split holds two weights a row, except
-        # for K <= 3, whose table is the whole table, weighed by its own probabilities
+        # the split holds views of the table and its probabilities, a float per sum, and for K <= 3
+        # the one empty b's weight
         nbytes = compositions.split_nbytes(n, k)
         split = compositions.split_table(n, k)
-        counts, probs = composition_table(n, (k + 1) // 2 + 1)
+        counts, probs = composition_table(n, k if k <= 3 else (k + 1) // 2 + 1)
+        assert nbytes == counts.nbytes + probs.nbytes
         assert all(view is counts or view.base is counts for view in (split.a, split.b))
-        if k in (2, 3):
-            assert split.weight_a is probs and nbytes == counts.nbytes + probs.nbytes
-        else:
-            assert nbytes == counts.nbytes + probs.nbytes + split.weight_a.nbytes + split.weight_b.nbytes
+        assert split.weight_a is probs
+        assert (split.weight_b is probs) if k > 3 else (split.weight_b.tolist() == [1.0])
+        assert all(isinstance(scale, float) for _, _, scale in split.runs)
 
-    @pytest.mark.parametrize("n, k", [(0, 2), (5, 3), (300, 2), (300, 3)])
+    @pytest.mark.parametrize("n, k", [(0, 1), (4, 1), (0, 2), (5, 3), (300, 2), (300, 3)])
     def test_small_k_reads_the_whole_table(self, n, k):
-        # m+1 = K columns: the split is composition_table(N, K) itself and holds nothing more
+        # the split is composition_table(N, K) itself, one run against the empty b, and holds nothing more
         counts, probs = composition_table(n, k)
         split = compositions.split_table(n, k)
         assert compositions.split_nbytes(n, k) == compositions.table_nbytes(n, k)
         assert np.shares_memory(split.a, counts) and split.weight_a is probs
-        assert split.runs == [(slice(0, counts.shape[0]), slice(0, 1))]
+        assert split.runs == [(slice(0, counts.shape[0]), slice(0, 1), 1.0)]
         assert split.b.shape == (1, 0) and split.weight_b.tolist() == [1.0]
 
     def test_small_k_pass_peaks_at_the_table(self):
@@ -386,14 +392,14 @@ class TestSplitTable:
         assert peak <= compositions.table_nbytes(2000, 3) + 3e6
 
     @pytest.mark.parametrize(
-        "n, k, nbytes", [(9_999_999, 2, 160_000_000), (4470, 3, 139_960_184), (20, 8, 308_154), (10, 10, 90_090)]
+        "n, k, nbytes", [(9_999_999, 2, 160_000_000), (4470, 3, 139_960_184), (20, 8, 138_138), (10, 10, 42_042)]
     )
     def test_largest_markets_fit_the_byte_budget(self, n, k, nbytes):
         # the two widest tables the row budget admits, and the benchmark's markets
         assert compositions.split_nbytes(n, k) == nbytes
         assert nbytes + 8 * k * k <= compositions.MAX_SOLVE_BYTES
 
-    @pytest.mark.parametrize("n, k, needed", [(2, 4000, "4,184,077,025"), (1, 100_000, "82,501,300,025")])
+    @pytest.mark.parametrize("n, k, needed", [(2, 4000, "4,152,029,009"), (1, 100_000, "82,500,500,009")])
     def test_wide_market_refused_before_allocating(self, n, k, needed):
         # within the row budget, but the split table and the K x K Newton Hessian would take 4 and 83 GB
         composition_table.cache_clear()
@@ -412,7 +418,7 @@ class TestSplitTable:
         monkeypatch.setattr(compositions, "_BLOCK_PAIRS", 7)
         for k in (6, 5, 3, 1):
             split = compositions.split_table(9, k)
-            sizes = [(a.stop - a.start) * (b.stop - b.start) for a, b in compositions._blocks(split)]
+            sizes = [(a.stop - a.start) * (b.stop - b.start) for a, b, _ in compositions._blocks(split)]
             assert max(sizes) <= 7
             assert sum(sizes) == math.comb(9 + k - 1, k - 1)
 

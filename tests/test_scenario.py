@@ -112,6 +112,25 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             ScenarioConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs, named",
+        [
+            ({"n_eaps": 2.5, "k_types": 3}, "n_eaps 2.5"),
+            ({"n_eaps": True}, "n_eaps True"),
+            ({"k_types": np.True_}, "k_types"),
+            ({"k_types": "3"}, "k_types '3'"),
+            ({"rng_seed": 1.5}, "rng_seed 1.5"),
+            ({"rng_seed": math.nan}, "rng_seed nan"),
+        ],
+    )
+    def test_counts_must_be_integers(self, kwargs, named):
+        # refused on construction, not with a TypeError deep in the table or the ladder; an
+        # integral number of any type is kept as an int
+        with pytest.raises(ValueError, match=f"^{named}.* is not an integer$"):
+            ScenarioConfig(**kwargs)
+        cfg = ScenarioConfig(n_eaps=np.int64(3), k_types=3.0, rng_seed=np.uint32(7))
+        assert [(type(v), v) for v in (cfg.n_eaps, cfg.k_types, cfg.rng_seed)] == [(int, 3), (int, 3), (int, 7)]
+
 
 class TestUnitInvariance:
     def test_solution_invariant_under_power_unit(self):

@@ -185,7 +185,7 @@ class TestReducedHessian:
         for n, k in [(1, 1), (2, 3), (3, 2), (4, 5)]:
             profile = TypeProfile(tuple(np.cumsum(rng.uniform(0.2, 1.0, k)) + 0.3))
             gamma, w = rng.uniform(0.3, 20.0), rng.uniform(0.5, 2.0)
-            # the split of (4, 5) weighs the 35 rows of composition_table(4, 4) in blocks of 16,
+            # the split of (4, 5) reads composition_table(4, 4), its 35 rows built in blocks of 16,
             # a partial last block
             with mock.patch.object(compositions_module, "_BLOCK_ROWS", 16):
                 problem = _ReducedProblem(profile, gamma, w, n)
@@ -207,7 +207,7 @@ class TestReducedHessian:
                     np.testing.assert_allclose(hess[:, i], fd, rtol=1e-5, atol=1e-9 * np.abs(hess).max())
 
     def test_blocks_cover_every_row(self):
-        # N=6, K=5 has 210 count vectors. Its split weighs the 84 rows of composition_table(6, 4)
+        # N=6, K=5 has 210 count vectors. Its split reads composition_table(6, 4), its 84 rows built
         # in blocks of 64, a partial last block. At 5 pairs a block every sum is cut into blocks,
         # across its b's for the first two and across its a's for the rest, and four of them end
         # in a partial block
