@@ -12,7 +12,7 @@ importing the package, or the CLI, loads no numpy until a name needs it.
 
 import importlib
 
-__version__ = "0.6.1"
+__version__ = "0.7.0"
 
 # public name -> the module that defines it
 _EXPORTS = {
@@ -28,7 +28,6 @@ _EXPORTS = {
     "expected_dap_utility": "compositions",
     "expected_social_welfare": "compositions",
     "FeasibilityReport": "feasibility",
-    "GridConfig": "feasibility",
     "brute_force_best_contract": "feasibility",
     "check_ic": "feasibility",
     "check_ir": "feasibility",

@@ -33,6 +33,7 @@ from .scenario import (
     RNG_ALGORITHM,
     ScenarioConfig,
     SweepError,
+    _integer,
     bandwidth_mbps,
     build_type_ladder,
     check_probe_types,
@@ -132,14 +133,6 @@ def resolve_config(user: dict | None) -> dict:
     return resolved
 
 
-def _config_int(value, name: str) -> int:
-    """The one check for integer fields: bools, non-integral numbers and strings are refused."""
-    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not integral:
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _positive_finite(value, name: str) -> float:
     try:
         number = float(value)
@@ -151,23 +144,17 @@ def _positive_finite(value, name: str) -> float:
 
 
 def scenario_from_config(cfg: dict) -> tuple[ScenarioConfig, dict]:
-    """The scenario, each value converted by the type of its field's default, and its table record:
-    the count vectors an expectation pass sums ("rows") and the bytes of the table the split reads
-    ("bytes"). Refused when they are over split_nbytes's budgets: every command but verify sums
-    over them. The budgets are checked before the scenario is built, which forms the K-type ladder."""
-    values = {}
+    """The scenario and its table record: the count vectors an expectation pass sums ("rows") and
+    the bytes of the table the split reads ("bytes"). Refused when they are over split_nbytes's
+    budgets: every command but verify sums over them. The budgets are checked before the scenario
+    is built, which forms the K-type ladder, so only the market size is read ahead of it."""
+    scenario = cfg["scenario"]
     try:
-        for name, default in ScenarioConfig._field_defaults.items():
-            value = cfg["scenario"][name]
-            if isinstance(default, int):
-                values[name] = _config_int(value, f"scenario.{name}")
-            else:
-                values[name] = type(default)(value)
+        n, k = (_integer(scenario[name], name) for name in ("n_eaps", "k_types"))
         from .compositions import split_nbytes, table_rows
 
-        n, k = values["n_eaps"], values["k_types"]
         table = {"rows": table_rows(n, k), "bytes": split_nbytes(n, k)}
-        return ScenarioConfig(**values), table
+        return ScenarioConfig(**scenario), table
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid scenario: {exc}") from exc
 
@@ -216,7 +203,7 @@ def _write_outputs(out_dir: Path, command: str, cfg: dict, files: dict, extra: d
 
 
 def _contract_rows(profile: TypeProfile, contract: Contract):
-    for idx, (theta, item) in enumerate(zip(profile.thetas, contract.items), start=1):
+    for idx, (theta, item) in enumerate(zip(profile.thetas, contract), start=1):
         yield idx, theta, item.q, item.pi
 
 
@@ -257,7 +244,10 @@ def _resolve(command: str, cfg: dict) -> dict:
         lo, hi = gamma_range(scenario)
         section["gamma_min"] = gamma_min = _resolve_gamma(section["gamma_min"], lo, "sweep.gamma_min")
         section["gamma_max"] = gamma_max = _resolve_gamma(section["gamma_max"], hi, "sweep.gamma_max")
-        section["gamma_steps"] = steps = _config_int(section["gamma_steps"], "sweep.gamma_steps")
+        try:
+            section["gamma_steps"] = steps = _integer(section["gamma_steps"], "sweep.gamma_steps")
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if not 1 <= steps <= MAX_GAMMA_STEPS:
             raise ConfigError(f"sweep.gamma_steps must be between 1 and {MAX_GAMMA_STEPS:,}, got {steps}")
         if gamma_min > gamma_max:
@@ -269,11 +259,10 @@ def _resolve(command: str, cfg: dict) -> dict:
         probes = list(range(1, k + 1)) if section["probe_types"] is None else section["probe_types"]
         if not isinstance(probes, list):
             raise ConfigError(f"curves.probe_types must be a list of type indices, got {probes!r}")
-        probes = [_config_int(t, f"curves.probe_types[{i}]") for i, t in enumerate(probes)]
         try:
             section["probe_types"] = check_probe_types(probes, k)
         except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+            raise ConfigError(f"curves.probe_types: {exc}") from exc
     return run
 
 

@@ -21,13 +21,17 @@ DEFAULT_TOL = 1e-9
 # Most types a command that writes a K x K table serves: solve and verify write feasibility.json's slack
 # matrix, curves its utility table. That file holds 29 MB at 1,000 types and 118 MB at 2,000.
 MAX_TYPES = 1_000
+# The grid oracle: nodes per axis at each refinement, the grid step it refines down to, and its most refinements
+_GRID_POINTS = 21
+_GRID_STEP = 1e-3
+_GRID_REFINEMENTS = 60
 
 
 def _matched(contract: Contract, profile: TypeProfile) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """The menu's (q, pi), checked to have one item per type (ValueError otherwise)."""
     if len(contract) != profile.k:
         raise ValueError("contract length does not match the type ladder")
-    return tuple(item.q for item in contract.items), tuple(item.pi for item in contract.items)
+    return tuple(item.q for item in contract), tuple(item.pi for item in contract)
 
 
 def check_ir(contract: Contract, profile: TypeProfile) -> tuple[float, ...]:
@@ -101,54 +105,31 @@ def verify_contract(contract: Contract, profile: TypeProfile, tol: float = DEFAU
     )
 
 
-class GridConfig(NamedTuple):
-    """Controls for the exhaustive grid oracle.
-
-    points_per_axis grid nodes per refinement level; the window shrinks
-    around the incumbent until the grid step reaches target_step. q_upper
-    overrides the per-type search bound (defaults to the analytic bound
-    theta_k * W * gamma / (2 ln 2), which dominates any optimum).
-    """
-
-    points_per_axis: int = 21
-    target_step: float = 1e-3
-    q_upper: tuple[float, ...] | None = None
-    max_refinements: int = 60
-
-
 def brute_force_best_contract(
-    profile: TypeProfile,
-    gamma: float,
-    bandwidth_w: float,
-    n_total: int,
-    grid_cfg: GridConfig | None = None,
+    profile: TypeProfile, gamma: float, bandwidth_w: float, n_total: int
 ) -> tuple[Contract, float]:
     """Exhaustive search over a refined q-grid, rewards from reward_recovery.
 
-    An intentionally independent oracle for the solver; exponential in K, so
+    The search starts below 1.05 times the analytic bound theta_k * W * gamma / (2 ln 2), which
+    dominates any optimum, and shrinks its window around the incumbent until the grid step is at
+    most _GRID_STEP. An intentionally independent oracle for the solver; exponential in K, so
     it refuses anything beyond 3 types.
     """
     import numpy as np
 
     from .solver import reduced_objective, reward_recovery
 
-    cfg = grid_cfg or GridConfig()
     k = profile.k
     if k > 3:
         raise ValueError(f"grid oracle supports at most 3 types, got {k}")
-    if cfg.q_upper is not None:
-        upper = np.asarray(cfg.q_upper, dtype=float)
-    else:
-        upper = profile.as_array() * bandwidth_w * gamma / (2.0 * LN2) * 1.05
-    upper = np.maximum(upper, 10.0 * cfg.target_step)
 
     lo = np.zeros(k)
-    hi = upper.copy()
+    hi = np.maximum(profile.as_array() * bandwidth_w * gamma / (2.0 * LN2) * 1.05, 10.0 * _GRID_STEP)
     best_q = np.zeros(k)
     best_val = reduced_objective(best_q, profile, gamma, bandwidth_w, n_total)
 
-    for _ in range(cfg.max_refinements):
-        axes = [np.linspace(lo[i], hi[i], cfg.points_per_axis) for i in range(k)]
+    for _ in range(_GRID_REFINEMENTS):
+        axes = [np.linspace(lo[i], hi[i], _GRID_POINTS) for i in range(k)]
         mesh = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
         values = np.array(
             [reduced_objective(point, profile, gamma, bandwidth_w, n_total) for point in mesh]
@@ -157,8 +138,8 @@ def brute_force_best_contract(
         if values[idx] > best_val:
             best_val = float(values[idx])
             best_q = mesh[idx]
-        steps = (hi - lo) / (cfg.points_per_axis - 1)
-        if steps.max() <= cfg.target_step:
+        steps = (hi - lo) / (_GRID_POINTS - 1)
+        if steps.max() <= _GRID_STEP:
             break
         lo = np.maximum(best_q - 2.0 * steps, 0.0)
         hi = best_q + 2.0 * steps

@@ -88,10 +88,6 @@ class Contract(tuple):
         return cls((float(a), float(b)) for a, b in zip(q, pi))
 
     @property
-    def items(self) -> tuple[ContractItem, ...]:
-        return tuple(self)
-
-    @property
     def qs(self) -> np.ndarray:
         import numpy as np
 

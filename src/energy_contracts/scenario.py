@@ -56,30 +56,42 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
+def _as_field_type(name: str, value, default):
+    """value as its field's type, the type of its default: a count through _integer, a JSON list as a
+    tuple, a number as a float. ValueError naming the field for a value that has no such form."""
+    if isinstance(default, int):
+        return _integer(value, name)
+    try:
+        return type(default)(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{name} {value!r} is not a {type(default).__name__}") from exc
+
+
 class ScenarioConfig(_ScenarioConfig):
     """Deployment and market parameters; defaults reproduce the reference
     simulation setup.
 
     Distances in meters, noise in mW, bandwidth in Hz. Ranges are inclusive
     [low, high] pairs. power_unit selects the unit q is expressed in; "uW"
-    keeps the solver numbers well scaled for these defaults. Every number
-    must be finite and every count an integer; the type ladder and SNR-slope
-    range are built once here, so a config they cannot use is refused.
+    keeps the solver numbers well scaled for these defaults. Each value is
+    stored as its default's type (a list as a tuple, an integral count as an
+    int). Every number must be finite and every count an integer; the type
+    ladder and SNR-slope range are built once here, so a config they cannot
+    use is refused.
     """
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        counts = {name: _integer(getattr(self, name), name) for name in ("n_eaps", "k_types", "rng_seed")}
-        self = super().__new__(cls, **{**self._asdict(), **counts})
+        self = super().__new__(cls, *map(_as_field_type, self._fields, self, cls._field_defaults.values()))
         if self.n_eaps < 0:
             raise ValueError("n_eaps must be nonnegative")
         if self.k_types < 1:
             raise ValueError("k_types must be at least 1")
         for name in ("a_range", "d_ms_range", "d_as_range"):
-            lo, hi = getattr(self, name)
-            if not (0.0 < lo <= hi < math.inf):
+            pair = getattr(self, name)
+            if not (len(pair) == 2 and 0.0 < pair[0] <= pair[1] < math.inf):
                 raise ValueError(f"{name} must be a finite positive nonempty [low, high] pair")
         for name in ("path_loss_alpha", "ref_atten_db", "bandwidth_hz", "noise_mw"):
             if not math.isfinite(getattr(self, name)):

@@ -119,6 +119,10 @@ class TestCompleteInfo:
         assert sol.lam == 0.0
         np.testing.assert_array_equal(sol.q, np.zeros(2))
 
+    def test_counts_length_validated(self):
+        with pytest.raises(ValueError, match="counts length"):
+            complete_info_contract([1, 1, 1], TypeProfile((1.0, 2.0)), 1.0, 1.0)
+
     def test_quantities_proportional_to_type(self):
         profile = TypeProfile((0.5, 1.0, 2.0))
         sol = complete_info_contract([1, 2, 1], profile, 1.3, 0.8)
@@ -172,6 +176,10 @@ class TestExpectedCompleteInfoWelfare:
     def test_empty_market(self):
         profile = TypeProfile((1.0, 2.0))
         assert expected_complete_info_welfare(profile, 1.0, 1.0, 0) == 0.0
+
+    @pytest.mark.parametrize("gamma", [0.0, -1.0])
+    def test_nonpositive_gamma_has_no_welfare(self, gamma):
+        assert expected_complete_info_welfare(TypeProfile((1.0, 2.0)), gamma, 1.0, 3) == 0.0
 
     def test_single_type_equals_direct(self):
         profile = TypeProfile((1.5,))

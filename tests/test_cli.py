@@ -44,6 +44,30 @@ def read_rows(path: Path) -> list[dict]:
         return list(csv.DictReader(handle))
 
 
+def solves_report(monkeypatch, **fields) -> None:
+    """Make solver.solve, which the commands look up at call time, report `fields` on its real result."""
+    real_solve = solver.solve
+    monkeypatch.setattr(solver, "solve", lambda *args: real_solve(*args)._replace(**fields))
+
+
+# each integer field: the command that reads it, its section and its key
+INTEGER_FIELDS = [
+    ("solve", "scenario", "n_eaps"),
+    ("solve", "scenario", "k_types"),
+    ("solve", "scenario", "rng_seed"),
+    ("sweep", "sweep", "gamma_steps"),
+    ("curves", "curves", "probe_types"),
+]
+
+
+def integer_field_run(tmp_path: Path, command: str, section: str, key: str, value) -> tuple[int, Path]:
+    """(exit code, output directory) of `command` with the field set to value (a probe list's one entry)."""
+    payload = {"scenario": {"n_eaps": 2, "k_types": 5}}
+    payload.setdefault(section, {})[key] = [value] if key == "probe_types" else value
+    out = tmp_path / "out"
+    return main([command, "--config", write_config(tmp_path, payload), "--out", str(out)]), out
+
+
 class TestConfigHandling:
     def test_defaults_are_complete(self):
         cfg = resolve_config(None)
@@ -77,6 +101,29 @@ class TestConfigHandling:
         path.write_text('{"scenario": {\n  "n_eaps": 2,,\n}}')
         with pytest.raises(ConfigError, match="line 2"):
             load_config(path)
+
+    def test_unreadable_config_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(tmp_path / "missing.json"), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("config error: cannot read config")
+        assert not out.exists()
+
+    def test_top_level_must_be_an_object(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ConfigError, match="top level must be a JSON object"):
+            load_config(path)
+
+    def test_section_must_be_an_object(self):
+        with pytest.raises(ConfigError, match="section 'solve' must be a JSON object"):
+            resolve_config({"scenario": {"n_eaps": 2, "k_types": 5}, "solve": 3})
+
+    def test_non_numeric_gamma_is_a_config_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"scenario": {"n_eaps": 2, "k_types": 5}, "solve": {"gamma": "x"}})
+        out = tmp_path / "out"
+        assert main(["solve", "--config", path, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "config error: solve.gamma must be a number, got 'x'\n"
+        assert not out.exists()
 
     def test_cli_exit_code_on_config_error(self, tmp_path, capsys):
         path = write_config(tmp_path, {"scenario": {"n_eaps": 2}})
@@ -113,22 +160,15 @@ class TestConfigHandling:
         assert not (tmp_path / "out").exists() and not (tmp_path / "v").exists()
 
     @pytest.mark.parametrize(
-        "command, section, key, value",
-        [
-            ("sweep", "sweep", "gamma_steps", "x"),
-            ("sweep", "sweep", "gamma_steps", 2.5),
-            ("solve", "scenario", "n_eaps", 2.7),
-            ("solve", "scenario", "k_types", True),
-            ("solve", "scenario", "rng_seed", "7"),
-        ],
+        "command, section, key, value", [(*field, value) for field in INTEGER_FIELDS for value in (True, 2.7, "3")]
     )
     def test_non_integer_field_is_a_config_error(self, tmp_path, capsys, command, section, key, value):
-        payload = {"scenario": {"n_eaps": 2, "k_types": 5}}
-        payload.setdefault(section, {})[key] = value
-        path = write_config(tmp_path, payload)
-        out = tmp_path / "out"
-        assert main([command, "--config", path, "--out", str(out)]) == 1
-        assert f"{section}.{key} must be an integer" in capsys.readouterr().err
+        # one check, scenario._integer, and one message for every integer field
+        code, out = integer_field_run(tmp_path, command, section, key, value)
+        assert code == 1
+        err = capsys.readouterr().err
+        named = {"gamma_steps": "sweep.gamma_steps", "probe_types": "curves.probe_types: probe type"}.get(key, key)
+        assert err.startswith("config error:") and err.endswith(f"{named} {value!r} is not an integer\n")
         assert not out.exists()
 
     def test_integral_float_count_is_accepted(self, tmp_path):
@@ -136,6 +176,10 @@ class TestConfigHandling:
         out = tmp_path / "out"
         assert main(["solve", "--config", path, "--out", str(out)]) == 0
         assert len(read_rows(out / "contract.csv")) == 5
+
+    @pytest.mark.parametrize("command, section, key", INTEGER_FIELDS)
+    def test_every_integer_field_reads_an_integral_float(self, tmp_path, command, section, key):
+        assert integer_field_run(tmp_path, command, section, key, 3.0)[0] == 0
 
     @staticmethod
     def _assert_solver_section_refused(tmp_path, capsys, command, key, value):
@@ -401,6 +445,20 @@ class TestSolveCommand:
         assert main(["solve"]) == 0
         assert (tmp_path / "from_env" / "contract.csv").exists()
 
+    def test_unconverged_solve_exits_2_with_its_files(self, tmp_path, capsys, monkeypatch):
+        solves_report(monkeypatch, converged=False)
+        out = tmp_path / "run"
+        assert main(["solve", "--out", str(out)]) == 2
+        assert "solver did not converge" in capsys.readouterr().err
+        assert json.loads((out / "feasibility.json").read_text())["solver"]["converged"] is False
+        assert len(read_rows(out / "contract.csv")) == 5
+
+    def test_non_monotone_menu_exits_3_with_its_files(self, tmp_path, capsys, monkeypatch):
+        solves_report(monkeypatch, monotone=False)
+        out = tmp_path / "run"
+        assert main(["solve", "--out", str(out)]) == 3
+        assert "contract failed feasibility" in capsys.readouterr().err
+        assert json.loads((out / "feasibility.json").read_text())["solver"]["monotone"] is False
 
     def test_unverifiable_menu_is_a_solver_failure(self, tmp_path, capsys, monkeypatch):
         # the menu came from the solver, so a slack that is not finite is the solve's fault
@@ -533,6 +591,13 @@ class TestCurvesCommand:
         assert "probe type 9 outside 1..8" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unconverged_solve_exits_2_without_a_directory(self, tmp_path, capsys, monkeypatch):
+        solves_report(monkeypatch, converged=False)
+        out = tmp_path / "run"
+        assert main(["curves", "--out", str(out)]) == 2
+        assert "solver did not converge" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_manifest_records_the_solve(self, tmp_path):
         out = tmp_path / "run"
         assert main(["curves", "--out", str(out)]) == 0
@@ -629,6 +694,21 @@ class TestVerifyCommand:
         path.write_text("\n".join(lines[:-1]) + "\n")
         profile, _ = read_contract_csv(path)
         assert profile.k == MAX_TYPES
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (None, "cannot read contract"),
+            ("type_index,theta,q,pi\n1,1.0,x,0.0\n", "bad numeric value"),
+            ("type_index,theta,q,pi\n", "no contract rows"),
+        ],
+    )
+    def test_unreadable_contract_is_a_config_error(self, tmp_path, text, message):
+        path = tmp_path / "contract.csv"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(ConfigError, match=message):
+            read_contract_csv(path)
 
     def test_read_contract_roundtrip(self, tmp_path):
         out = tmp_path / "run"

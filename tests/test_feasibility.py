@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from energy_contracts import feasibility
 from energy_contracts import (
     Contract,
-    GridConfig,
     TypeProfile,
     brute_force_best_contract,
     check_ic,
@@ -270,13 +269,6 @@ class TestBruteForceOracle:
         with pytest.raises(ValueError, match="at most 3"):
             brute_force_best_contract(profile, 1.0, 1.0, 2)
 
-    def test_custom_bounds(self):
-        profile = TypeProfile((1.0,))
-        _, best = brute_force_best_contract(
-            profile, 1.0, 1.0, 1, GridConfig(q_upper=(2.0,), target_step=1e-3)
-        )
-        res = solve(profile, 1.0, 1.0, 1)
-        assert abs(res.objective - best) <= 1e-4
 
 
 class TestConstraintReductionLemmas:

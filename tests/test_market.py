@@ -97,6 +97,12 @@ class TestSocialWelfare:
         contract = Contract.from_arrays([0.0, 0.0], [0.0, 0.0])
         assert social_welfare([3, 1], contract, profile, 1.0, 1.0) == 0.0
 
+    @pytest.mark.parametrize("counts, thetas", [([1, 1, 1], (1.0, 2.0)), ([1, 1], (1.0,))])
+    def test_length_mismatch(self, counts, thetas):
+        contract = Contract.from_arrays([1.0, 2.0], [1.0, 2.5])
+        with pytest.raises(ValueError, match="equal length"):
+            social_welfare(counts, contract, TypeProfile(thetas), 1.0, 1.0)
+
     def test_single_type(self):
         profile = TypeProfile((1.0,))
         contract = Contract.from_arrays([1.0], [0.3])
@@ -110,7 +116,7 @@ class TestSocialWelfare:
         total = social_welfare(counts, contract, profile, gamma, w)
         split = dap_utility(counts, contract, gamma, w) + sum(
             n * eap_utility(item, theta)
-            for n, item, theta in zip(counts, contract.items, profile.thetas)
+            for n, item, theta in zip(counts, contract, profile.thetas)
         )
         scale = max(1.0, abs(total), abs(split))
         assert abs(total - split) <= 1e-12 * scale

@@ -8,7 +8,6 @@ import pytest
 from energy_contracts import (
     Contract,
     ContractItem,
-    GridConfig,
     ScenarioConfig,
     SolveResult,
     SweepResult,
@@ -60,7 +59,7 @@ def test_type_profile_holds_floats():
 class TestContract:
     def test_length_is_the_items_iteration_yields(self):
         contract = Contract.from_arrays([0.0, 1.0, 2.0], [0.0, 1.0, 3.0])
-        assert len(contract) == len(list(contract.items)) == len(list(contract)) == 3
+        assert len(contract) == len(list(contract)) == 3
         assert list(contract) == [ContractItem(0.0, 0.0), ContractItem(1.0, 1.0), ContractItem(2.0, 3.0)]
 
     def test_items_are_checked(self):
@@ -71,7 +70,7 @@ class TestContract:
 
     def test_pairs_become_items(self):
         contract = Contract([(1.0, 2.0)])
-        assert type(contract.items[0]) is ContractItem and contract == Contract.from_arrays([1.0], [2.0])
+        assert type(contract[0]) is ContractItem and contract == Contract.from_arrays([1.0], [2.0])
 
 
 def records() -> list:
@@ -84,7 +83,6 @@ def records() -> list:
         ContractItem(1.0, 2.0),
         contract,
         verify_contract(contract, profile),
-        GridConfig(),
         ScenarioConfig(),
         SweepResult(grid, grid, grid, grid, grid, grid, []),
         SolveResult(contract, 0.0, 0, True, 0.0, True),
@@ -95,7 +93,7 @@ def records() -> list:
 
 @pytest.mark.parametrize("record", records(), ids=lambda record: type(record).__name__)
 def test_fields_cannot_be_assigned(record):
-    for field in getattr(record, "_fields", ("items",)):
+    for field in getattr(record, "_fields", ("qs",)):
         with pytest.raises(AttributeError):
             setattr(record, field, getattr(record, field))
     with pytest.raises(AttributeError):

@@ -1,10 +1,12 @@
 import math
+import re
 import time
 
 import numpy as np
 import pytest
 
 from energy_contracts import (
+    Contract,
     ScenarioConfig,
     SweepError,
     bandwidth_mbps,
@@ -132,6 +134,30 @@ class TestScenarioValidation:
         assert [(type(v), v) for v in (cfg.n_eaps, cfg.k_types, cfg.rng_seed)] == [(int, 3), (int, 3), (int, 7)]
 
 
+    def test_values_take_their_defaults_types(self):
+        # a JSON list is stored as a tuple and an integral number as a float, so the config is hashable
+        cfg = ScenarioConfig(a_range=[0.1, 1.0], bandwidth_hz=10**6)
+        assert cfg == ScenarioConfig() and hash(cfg) == hash(ScenarioConfig())
+        assert type(cfg.a_range) is tuple and type(cfg.bandwidth_hz) is float
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"eta": "x"}, "eta 'x' is not a float"),
+            ({"bandwidth_hz": None}, "bandwidth_hz None is not a float"),
+            ({"a_range": 5}, "a_range 5 is not a tuple"),
+            ({"d_as_range": (15.0, 20.0, 25.0)}, "d_as_range must be a finite positive nonempty"),
+        ],
+    )
+    def test_unconvertible_values_name_their_field(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            ScenarioConfig(**kwargs)
+
+    def test_default_grid_needs_a_point(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            default_gamma_grid(ScenarioConfig(), 0)
+
+
 class TestUnitInvariance:
     def test_solution_invariant_under_power_unit(self):
         cfg_uw = ScenarioConfig()
@@ -252,6 +278,14 @@ class TestRunSweep:
             run_sweep(cfg, grid)
         assert excinfo.value.gamma == pytest.approx(grid[0])
 
+    def test_non_monotone_menu_aborts_with_gamma(self, monkeypatch):
+        # the recovered menu is monotone for every uniform ladder, so the solve is told otherwise
+        real_solve = solver.solve
+        monkeypatch.setattr(solver, "solve", lambda *args: real_solve(*args)._replace(monotone=False))
+        with pytest.raises(SweepError, match="not monotone") as excinfo:
+            run_sweep(ScenarioConfig(), [0.125, 0.25])
+        assert excinfo.value.gamma == 0.125
+
     def test_points_solve_independently(self):
         # every point starts from its own mean-field point, so its menu is solve's to the bit
         cfg = ScenarioConfig()
@@ -340,6 +374,17 @@ class TestMonteCarlo:
         estimate, stderr = monte_carlo_expected_welfare(cfg, res.contract, 10_000)
         exact = expected_social_welfare(res.contract.qs, profile, gamma, 1.0, cfg.n_eaps)
         assert abs(estimate - exact) <= 4.0 * stderr
+
+    def test_contract_length_validated(self):
+        cfg = ScenarioConfig()
+        contract = Contract.from_arrays([1.0] * 4, [1.0] * 4)
+        with pytest.raises(ValueError, match="does not match"):
+            monte_carlo_expected_welfare(cfg, contract, 10)
+
+    def test_empty_market_has_no_welfare(self):
+        cfg = ScenarioConfig(n_eaps=0)
+        contract = Contract.from_arrays([1.0] * 5, [1.0] * 5)
+        assert monte_carlo_expected_welfare(cfg, contract, 10) == (0.0, 0.0)
 
     def test_sample_count_validated(self):
         cfg = ScenarioConfig()

@@ -362,6 +362,30 @@ class TestSolve:
         assert not res.converged
         assert res.iterations == 1
 
+    def test_line_search_halves_an_overlong_step(self, monkeypatch):
+        # no market the solver serves needs a halving from its exact Newton step, so a Hessian cut to a
+        # quarter makes every step 4x Newton's: the line search halves it 7 times over 4 iterations
+        profile = TypeProfile((1.0, 2.0, 3.0, 4.0, 5.0))
+        exact = solve(profile, 1.0, 1.0, 3)
+        newton_system, parts = _ReducedProblem.newton_system, _ReducedProblem.parts
+        calls = []
+
+        def quartered(self, q):
+            grad, hess = newton_system(self, q)
+            return grad, hess / 4.0
+
+        def counted(self, q):
+            calls.append(q)
+            return parts(self, q)
+
+        monkeypatch.setattr(_ReducedProblem, "newton_system", quartered)
+        monkeypatch.setattr(_ReducedProblem, "parts", counted)
+        res = solve(profile, 1.0, 1.0, 3)
+        assert res.converged
+        # one parts() call at the start and one per line search; each call past those is a halving
+        assert len(calls) - 1 - res.iterations == 7
+        np.testing.assert_allclose(res.contract.qs, exact.contract.qs, rtol=1e-14)
+
 
 class TestMemory:
     def test_compact_table_and_block_sized_solve(self):
