@@ -69,15 +69,18 @@ class ConfigError(Exception):
     pass
 
 
+def _scenario_section(values: dict) -> dict:
+    """A scenario config section from ScenarioConfig field values: tuples as JSON lists."""
+    return {name: list(value) if isinstance(value, tuple) else value for name, value in values.items()}
+
+
 def default_config() -> dict:
     """Fully populated configuration reproducing the reference setup.
 
-    The scenario section is the ScenarioConfig defaults, tuples as JSON lists.
+    The scenario section is the ScenarioConfig defaults.
     """
-    defaults = ScenarioConfig._field_defaults
-    scenario = {name: list(value) if isinstance(value, tuple) else value for name, value in defaults.items()}
     return {
-        "scenario": scenario,
+        "scenario": _scenario_section(ScenarioConfig._field_defaults),
         "solve": {"gamma": None, "tol": DEFAULT_TOL},
         "sweep": {"gamma_min": None, "gamma_max": None, "gamma_steps": DEFAULT_GAMMA_STEPS},
         "curves": {"gamma": None, "probe_types": None},
@@ -237,6 +240,7 @@ def _resolve(command: str, cfg: dict) -> dict:
     section = cfg[command]
     scenario, run["table"] = scenario_from_config(cfg)
     run["scenario"] = scenario
+    cfg["scenario"] = _scenario_section(scenario._asdict())  # as checked: counts as ints, numbers as floats
     if command != "sweep" and scenario.k_types > MAX_TYPES:
         k = scenario.k_types
         raise ConfigError(f"{command} writes a K x K table, so it serves at most {MAX_TYPES:,} types, got {k:,}")

@@ -213,28 +213,29 @@ def _blocks(split: SplitTable):
 
 def rate_terms(split: SplitTable, q: np.ndarray, gamma: float, derivatives: bool = False):
     """The one expectation over the count vectors n = (a, b), in one pass over a split_table:
-    E[log1p(gamma n.q)], or with derivatives=True the gradient and Hessian terms
+    E[log1p(gamma n.q)], and with derivatives=True the triple of it and the gradient and Hessian terms
 
         E[slope n] and E[slope^2 n n^T],   slope = gamma / (1 + gamma n.q),
 
     gamma folded into the slope so that both stay finite at any finite gamma. Each block sums
-    (c weight_a)^T f(a.q + b.q) weight_b over its (a, b) pairs, both read as slices of the table."""
+    (c weight_a)^T f(a.q + b.q) weight_b over its (a, b) pairs, both read as slices of the table.
+    The value alone forms no slope: at n.q = 0 its square, gamma^2, overflows past gamma ~ 1.3e154."""
     m = split.a.shape[1]
     qa, qb = q[:m], q[m:]
     total, grad, hess = 0.0, np.zeros(q.size), np.zeros((q.size, q.size))
     for a_rows, b_rows, scale in _blocks(split):
         a, wa, b, wb = split.a[a_rows], scale * split.weight_a[a_rows], split.b[b_rows], split.weight_b[b_rows]
-        if derivatives:  # the Newton pass reads each count six times: widen it once
+        if derivatives:  # the derivatives read each count six times: widen it once
             a, b = a.astype(np.float64), b.astype(np.float64)
         values = np.add.outer(a @ qa, b @ qb)  # gamma n.q over the block, (a's, b's), each step in place
         values *= gamma
+        logs = np.log1p(values, out=np.empty_like(values) if derivatives else values)
+        total += wa @ (logs @ wb)
         if not derivatives:
-            np.log1p(values, out=values)
-            total += wa @ (values @ wb)
             continue
         values += 1.0
         slope = np.divide(gamma, values, out=values)
-        square = np.square(slope)
+        square = np.square(slope, out=logs)
         a_weighted, b_weighted = a * wa[:, None], b * wb[:, None]
         grad[:m] += a_weighted.T @ (slope @ wb)
         grad[m:] += b_weighted.T @ (wa @ slope)
@@ -244,7 +245,7 @@ def rate_terms(split: SplitTable, q: np.ndarray, gamma: float, derivatives: bool
     if not derivatives:
         return float(total)
     hess[m:, :m] = hess[:m, m:].T
-    return grad, hess
+    return float(total), grad, hess
 
 
 def expected_dap_utility(

@@ -58,11 +58,15 @@ def _integer(value, name: str) -> int:
 
 def _as_field_type(name: str, value, default):
     """value as its field's type, the type of its default: a count through _integer, a JSON list as a
-    tuple, a number as a float. ValueError naming the field for a value that has no such form."""
+    tuple of floats, a number as a float. ValueError naming the field for a value that has no such form."""
     if isinstance(default, int):
         return _integer(value, name)
     try:
-        return type(default)(value)
+        if not isinstance(default, tuple):
+            return type(default)(value)
+        if isinstance(value, str):  # not a range of its characters
+            raise TypeError(value)
+        return tuple(map(float, value))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{name} {value!r} is not a {type(default).__name__}") from exc
 
@@ -206,17 +210,8 @@ class SweepResult(NamedTuple):
     solve_results: list[SolveResult]
 
     def rows(self) -> list[tuple[float, float, float, float, float, float]]:
-        return [
-            (
-                float(self.gamma_grid[i]),
-                float(self.welfare_contract[i]),
-                float(self.welfare_complete[i]),
-                float(self.welfare_linear[i]),
-                float(self.normalized_contract[i]),
-                float(self.normalized_linear[i]),
-            )
-            for i in range(len(self.gamma_grid))
-        ]
+        """One row of floats per grid point: the six array fields, in order."""
+        return [tuple(map(float, row)) for row in zip(*self[:6])]
 
 
 def run_sweep(cfg: ScenarioConfig, gamma_grid=None) -> SweepResult:

@@ -107,21 +107,18 @@ class _ReducedProblem:
         self.gamma = gamma
         self.w = bandwidth_w
 
-    def parts(self, q: np.ndarray) -> tuple[float, float]:
-        """(rate, quad): the objective is rate - quad."""
-        return self.w * rate_terms(self.split, q, self.gamma) / LN2, float(self.exp_d @ (q * q))
-
-    def newton_system(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Gradient and Hessian in one pass over the split table, with a = gamma / (1 + gamma n.q):
+    def evaluate(self, q: np.ndarray) -> tuple[float, float, np.ndarray, np.ndarray]:
+        """(rate, quad, grad, hess) in one pass over the split table: the objective is rate - quad and,
+        with a = gamma / (1 + gamma n.q),
 
             grad = (W / ln 2) E[a n] - 2 E[D] q
             hess = -(W / ln 2) E[a^2 n n^T] - 2 diag(E[D])
         """
-        cu, cwc = rate_terms(self.split, q, self.gamma, derivatives=True)
+        total, cu, cwc = rate_terms(self.split, q, self.gamma, derivatives=True)
         grad = (self.w / LN2) * cu - 2.0 * self.exp_d * q
         hess = -(self.w / LN2) * cwc
         hess[np.diag_indices(q.size)] -= 2.0 * self.exp_d
-        return grad, hess
+        return self.w * total / LN2, float(self.exp_d @ (q * q)), grad, hess
 
 
 def reduced_objective(
@@ -136,8 +133,8 @@ def reduced_objective(
     expected_dap_utility(q, reward_recovery(q), ...) for every q >= 0.
     """
     q = per_type(q, profile)
-    rate, quad = _ReducedProblem(profile, gamma, bandwidth_w, n_total).parts(q)
-    return rate - quad
+    rate = bandwidth_w * rate_terms(split_table(n_total, profile.k), q, gamma) / LN2
+    return rate - float(expected_quadratic_coefficients(profile, n_total) @ (q * q))
 
 
 def _is_nondecreasing(values: np.ndarray) -> bool:
@@ -181,10 +178,9 @@ def solve(profile: TypeProfile, gamma: float, bandwidth_w: float, n_total: int) 
         raise ValueError(f"gamma={gamma:g} is too large for this market: gamma N q at the start overflows a float")
     problem = _ReducedProblem(profile, gamma, bandwidth_w, n_total)
 
-    rate, quad = problem.parts(q)
+    rate, quad, grad, hess = problem.evaluate(q)
     converged = False
     for iterations in range(_MAX_ITERS + 1):
-        grad, hess = problem.newton_system(q)
         residual = float(np.linalg.norm(grad))
         step = np.linalg.solve(-hess, grad)
         # an infinite rate (gamma n.q overflowed) is no optimum, whatever the gradient says
@@ -197,14 +193,14 @@ def solve(profile: TypeProfile, gamma: float, bandwidth_w: float, n_total: int) 
         crossing = q + step <= 0.0
         t = _TO_BOUNDARY * float(np.min(q[crossing] / -step[crossing])) if crossing.any() else 1.0
         resolved = 0.5 * decrement <= _RESOLUTION * (abs(rate) + abs(quad))
-        while True:
+        while True:  # each candidate's one pass also gives the next step's gradient and Hessian
             candidate = q + t * step
-            rate_cand, quad_cand = problem.parts(candidate)
-            gain = (rate_cand - quad_cand) - (rate - quad)
+            point = problem.evaluate(candidate)
+            gain = (point[0] - point[1]) - (rate - quad)
             if resolved or gain >= _ARMIJO_C * t * decrement or t < _MIN_STEP:
                 break
             t *= 0.5
-        q, rate, quad = candidate, rate_cand, quad_cand
+        q, (rate, quad, grad, hess) = candidate, point
 
     pi = reward_recovery(q, profile)
     contract = Contract.from_arrays(q, pi)

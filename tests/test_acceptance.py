@@ -243,7 +243,7 @@ class TestCriterion06SolverOptimality:
             profile = TypeProfile(tuple(np.cumsum(rng.uniform(0.2, 1.0, k)) + 0.3))
             gamma, w = rng.uniform(0.3, 2.0), rng.uniform(0.5, 2.0)
             q = rng.uniform(0.05, 2.0, size=k)
-            grad = _ReducedProblem(profile, gamma, w, n).newton_system(q)[0]
+            grad = _ReducedProblem(profile, gamma, w, n).evaluate(q)[2]
             for i in range(k):
                 h = 1e-6 * max(1.0, abs(q[i]))
                 up, down = q.copy(), q.copy()

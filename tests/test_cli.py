@@ -177,6 +177,14 @@ class TestConfigHandling:
         assert main(["solve", "--config", path, "--out", str(out)]) == 0
         assert len(read_rows(out / "contract.csv")) == 5
 
+    def test_unconvertible_range_entry_names_its_field(self, tmp_path, capsys):
+        # it was refused as "'<' not supported between instances of 'float' and 'str'"
+        path = write_config(tmp_path, {"scenario": {"n_eaps": 2, "k_types": 5, "a_range": ["a", 1.0]}})
+        out = tmp_path / "out"
+        assert main(["solve", "--config", path, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "config error: invalid scenario: a_range ['a', 1.0] is not a tuple\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, section, key", INTEGER_FIELDS)
     def test_every_integer_field_reads_an_integral_float(self, tmp_path, command, section, key):
         assert integer_field_run(tmp_path, command, section, key, 3.0)[0] == 0
@@ -750,6 +758,25 @@ class TestRoundTrip:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 99
         assert manifest["config_echo"]["scenario"]["rng_seed"] == 99
+
+    @pytest.mark.parametrize("command", ["solve", "sweep", "curves"])
+    def test_scenario_is_echoed_as_checked(self, tmp_path, command):
+        # integral floats are echoed as the ints the scenario runs on, and a range's entries as floats:
+        # "rng_seed": 3.0 was written as "seed": 3.0. The echo and outputs match the integer config's
+        exact = {"n_eaps": 2, "k_types": 5, "rng_seed": 3, "a_range": [0.1, 1.0]}
+        loose = {"n_eaps": 2.0, "k_types": 5.0, "rng_seed": 3.0, "a_range": [0.1, 1]}
+        steps = ["--gamma-steps", "2"] if command == "sweep" else []
+        runs = []
+        for name, scenario in (("exact", exact), ("loose", loose)):
+            out = tmp_path / name
+            config = write_config(tmp_path, {"scenario": scenario}, f"{name}.json")
+            assert main([command, "--config", config, "--out", str(out), *steps]) == 0
+            runs.append(out)
+        manifest = json.loads((runs[1] / "manifest.json").read_text())
+        assert manifest["seed"] == 3 and type(manifest["seed"]) is int
+        assert '"seed": 3,' in (runs[1] / "manifest.json").read_text()
+        for name in sorted({path.name for path in runs[0].iterdir()} - {"manifest.json"}):
+            assert (runs[1] / name).read_bytes() == (runs[0] / name).read_bytes(), name
 
     def test_full_precision_floats(self, tmp_path):
         out = tmp_path / "run"

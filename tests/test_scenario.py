@@ -135,10 +135,11 @@ class TestScenarioValidation:
 
 
     def test_values_take_their_defaults_types(self):
-        # a JSON list is stored as a tuple and an integral number as a float, so the config is hashable
-        cfg = ScenarioConfig(a_range=[0.1, 1.0], bandwidth_hz=10**6)
+        # a JSON list is stored as a tuple of floats and an integral number as a float, so the config is hashable
+        cfg = ScenarioConfig(a_range=[0.1, 1], bandwidth_hz=10**6)
         assert cfg == ScenarioConfig() and hash(cfg) == hash(ScenarioConfig())
         assert type(cfg.a_range) is tuple and type(cfg.bandwidth_hz) is float
+        assert [type(bound) for bound in cfg.a_range] == [float, float]
 
     @pytest.mark.parametrize(
         "kwargs, message",
@@ -147,6 +148,10 @@ class TestScenarioValidation:
             ({"bandwidth_hz": None}, "bandwidth_hz None is not a float"),
             ({"a_range": 5}, "a_range 5 is not a tuple"),
             ({"d_as_range": (15.0, 20.0, 25.0)}, "d_as_range must be a finite positive nonempty"),
+            # each entry is converted here, not compared as it is against the bounds
+            ({"a_range": ["a", 1.0]}, "a_range ['a', 1.0] is not a tuple"),
+            ({"d_ms_range": [None, 10.0]}, "d_ms_range [None, 10.0] is not a tuple"),
+            ({"d_as_range": "12"}, "d_as_range '12' is not a tuple"),
         ],
     )
     def test_unconvertible_values_name_their_field(self, kwargs, message):

@@ -156,7 +156,7 @@ class TestReducedObjective:
 class TestReducedGradient:
     def test_value_at_origin(self):
         profile = TypeProfile((1.0,))
-        grad = _ReducedProblem(profile, 1.0, 1.0, 1).newton_system(np.zeros(1))[0]
+        grad = _ReducedProblem(profile, 1.0, 1.0, 1).evaluate(np.zeros(1))[2]
         assert grad[0] == pytest.approx(1.0 / LN2, rel=1e-14)
 
     def test_finite_difference_match(self):
@@ -166,7 +166,7 @@ class TestReducedGradient:
             gamma, w = rng.uniform(0.3, 2.0), rng.uniform(0.5, 2.0)
             for _ in range(5):
                 q = rng.uniform(0.1, 2.0, size=k)
-                grad = _ReducedProblem(profile, gamma, w, n).newton_system(q)[0]
+                grad = _ReducedProblem(profile, gamma, w, n).evaluate(q)[2]
                 for i in range(k):
                     h = 1e-6 * max(1.0, abs(q[i]))
                     up, down = q.copy(), q.copy()
@@ -194,7 +194,7 @@ class TestReducedHessian:
                 # at 5 pairs a block, (4, 5) cuts all its sums but the first into blocks, (3, 2)
                 # reads its whole table, 4 rows, in one block, and (2, 3) its 6 rows in two
                 with mock.patch.object(compositions_module, "_BLOCK_PAIRS", 5):
-                    hess = problem.newton_system(q)[1]
+                    hess = problem.evaluate(q)[3]
                 np.testing.assert_allclose(hess, hess.T, rtol=1e-14)
                 for i in range(k):
                     h = 1e-6 * max(1.0, abs(q[i]))
@@ -202,7 +202,7 @@ class TestReducedHessian:
                     up[i] += h
                     down[i] -= h
                     fd = (
-                        problem.newton_system(up)[0] - problem.newton_system(down)[0]
+                        problem.evaluate(up)[2] - problem.evaluate(down)[2]
                     ) / (2 * h)
                     np.testing.assert_allclose(hess[:, i], fd, rtol=1e-5, atol=1e-9 * np.abs(hess).max())
 
@@ -224,8 +224,7 @@ class TestReducedHessian:
         hess = -(3.0**2 / LN2) * (counts.T @ (counts * weights[:, None]))
         hess -= np.diag(2.0 * problem.exp_d)
         with mock.patch.object(compositions_module, "_BLOCK_PAIRS", 5):
-            blocked_rate = problem.parts(q)[0]
-            blocked_grad, blocked_hess = problem.newton_system(q)
+            blocked_rate, _, blocked_grad, blocked_hess = problem.evaluate(q)
         assert blocked_rate == pytest.approx(rate, rel=1e-13)
         np.testing.assert_allclose(blocked_grad, grad, rtol=1e-13)
         np.testing.assert_allclose(blocked_hess, hess, rtol=1e-13)
@@ -314,9 +313,9 @@ class TestSolve:
     def test_overflowing_rate_is_not_converged(self, monkeypatch):
         # an infinite rate is no optimum, whatever its gradient says, and gives the line search
         # no gain to compare: the solve stops there. solve refuses a gamma whose start overflows
-        # (below), so the value pass is made to overflow here
-        def overflowing(split, q, gamma, derivatives=False):
-            return rate_terms(split, q, gamma, derivatives) if derivatives else math.inf
+        # (below), so the value each pass returns is made to overflow here
+        def overflowing(split, q, gamma, derivatives):
+            return (math.inf, *rate_terms(split, q, gamma, derivatives)[1:])
 
         cfg = ScenarioConfig()
         monkeypatch.setattr(solver_module, "rate_terms", overflowing)
@@ -362,27 +361,40 @@ class TestSolve:
         assert not res.converged
         assert res.iterations == 1
 
+    @pytest.mark.parametrize("n, k, gamma, passes", [(20, 8, None, 2), (10, 10, 125.0, 4)])
+    def test_one_table_pass_per_point(self, monkeypatch, n, k, gamma, passes):
+        # solve-large's market takes 1 iteration and solve-saturated's 3: one pass at the
+        # start and one per candidate, which gives both its line-search value and the next Newton step.
+        # A value pass and a Newton pass apart took 4 and 8
+        cfg = ScenarioConfig(n_eaps=n, k_types=k)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return rate_terms(*args, **kwargs)
+
+        monkeypatch.setattr(solver_module, "rate_terms", counted)
+        res = solve(build_type_ladder(cfg), gamma or reference_gamma(cfg), bandwidth_mbps(cfg), n)
+        assert res.converged
+        assert (len(calls), res.iterations) == (passes, passes - 1)
+
     def test_line_search_halves_an_overlong_step(self, monkeypatch):
         # no market the solver serves needs a halving from its exact Newton step, so a Hessian cut to a
         # quarter makes every step 4x Newton's: the line search halves it 7 times over 4 iterations
         profile = TypeProfile((1.0, 2.0, 3.0, 4.0, 5.0))
         exact = solve(profile, 1.0, 1.0, 3)
-        newton_system, parts = _ReducedProblem.newton_system, _ReducedProblem.parts
+        evaluate = _ReducedProblem.evaluate
         calls = []
 
         def quartered(self, q):
-            grad, hess = newton_system(self, q)
-            return grad, hess / 4.0
-
-        def counted(self, q):
             calls.append(q)
-            return parts(self, q)
+            rate, quad, grad, hess = evaluate(self, q)
+            return rate, quad, grad, hess / 4.0
 
-        monkeypatch.setattr(_ReducedProblem, "newton_system", quartered)
-        monkeypatch.setattr(_ReducedProblem, "parts", counted)
+        monkeypatch.setattr(_ReducedProblem, "evaluate", quartered)
         res = solve(profile, 1.0, 1.0, 3)
         assert res.converged
-        # one parts() call at the start and one per line search; each call past those is a halving
+        # one evaluate() call at the start and one per line search; each call past those is a halving
         assert len(calls) - 1 - res.iterations == 7
         np.testing.assert_allclose(res.contract.qs, exact.contract.qs, rtol=1e-14)
 
@@ -420,8 +432,7 @@ class TestMemory:
         try:
             problem = _ReducedProblem(profile, reference_gamma(cfg), bandwidth_mbps(cfg), 20)
             q = np.linspace(0.2, 1.0, 8)
-            problem.newton_system(q)
-            problem.parts(q)
+            problem.evaluate(q)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
