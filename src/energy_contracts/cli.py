@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -33,7 +32,9 @@ from .scenario import (
     RNG_ALGORITHM,
     ScenarioConfig,
     SweepError,
+    _as_field_type,
     _integer,
+    _real,
     bandwidth_mbps,
     build_type_ladder,
     check_probe_types,
@@ -70,8 +71,10 @@ class ConfigError(Exception):
 
 
 def _scenario_section(values: dict) -> dict:
-    """A scenario config section from ScenarioConfig field values: tuples as JSON lists."""
-    return {name: list(value) if isinstance(value, tuple) else value for name, value in values.items()}
+    """The scenario section as checked, each field by scenario._as_field_type (no ladder built), a range as a list."""
+    defaults = ScenarioConfig._field_defaults
+    checked = {name: _as_field_type(name, values[name], default) for name, default in defaults.items()}
+    return {name: list(value) if isinstance(value, tuple) else value for name, value in checked.items()}
 
 
 def default_config() -> dict:
@@ -80,7 +83,7 @@ def default_config() -> dict:
     The scenario section is the ScenarioConfig defaults.
     """
     return {
-        "scenario": _scenario_section(ScenarioConfig._field_defaults),
+        "scenario": dict(ScenarioConfig._field_defaults),
         "solve": {"gamma": None, "tol": DEFAULT_TOL},
         "sweep": {"gamma_min": None, "gamma_max": None, "gamma_steps": DEFAULT_GAMMA_STEPS},
         "curves": {"gamma": None, "probe_types": None},
@@ -136,24 +139,28 @@ def resolve_config(user: dict | None) -> dict:
     return resolved
 
 
-def _positive_finite(value, name: str) -> float:
+def _positive_finite(value, name: str, derived: float | None = None) -> float:
+    """The one check of solve.tol and every gamma field: a positive finite number, through scenario._real. A
+    gamma field's null takes `derived`, its default from the scenario, which must be one too."""
+    if value is None and derived is not None:
+        value, name = derived, f"{name} (derived from the scenario)"
     try:
-        number = float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name} must be a number, got {value!r}") from exc
-    if not (math.isfinite(number) and number > 0.0):
-        raise ConfigError(f"{name} must be positive and finite, got {number}")
+        number = _real(value, name)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    if not number > 0.0:
+        raise ConfigError(f"{name} must be positive, got {number}")
     return number
 
 
 def scenario_from_config(cfg: dict) -> tuple[ScenarioConfig, dict]:
-    """The scenario and its table record: the count vectors an expectation pass sums ("rows") and
-    the bytes of the table the split reads ("bytes"). Refused when they are over split_nbytes's
-    budgets: every command but verify sums over them. The budgets are checked before the scenario
-    is built, which forms the K-type ladder, so only the market size is read ahead of it."""
+    """The scenario and its table record: the count vectors an expectation pass sums ("rows") and the bytes
+    of the table the split reads ("bytes"). Refused when they are over split_nbytes's budgets: every command
+    but verify sums over them. The budgets are checked before the scenario is built, which forms the K-type
+    ladder, so only the market size, two ints once _resolve has checked the section, is read ahead of it."""
     scenario = cfg["scenario"]
     try:
-        n, k = (_integer(scenario[name], name) for name in ("n_eaps", "k_types"))
+        n, k = scenario["n_eaps"], scenario["k_types"]
         from .compositions import split_nbytes, table_rows
 
         table = {"rows": table_rows(n, k), "bytes": split_nbytes(n, k)}
@@ -219,35 +226,30 @@ def _solve_record(gamma: float, result) -> dict:
     }
 
 
-def _resolve_gamma(cfg_value, default: float, name: str) -> float:
-    """The one check for every gamma field: null takes the default derived
-    from the scenario, and either value must be a positive finite number."""
-    if cfg_value is None:
-        return _positive_finite(default, f"{name} (derived from the scenario)")
-    return _positive_finite(cfg_value, name)
-
-
 def _resolve(command: str, cfg: dict) -> dict:
     """The one resolve step: check every field `command` reads, fill the nulls
     it derives from the scenario into cfg (so config_echo.json records them),
     and return the typed values it runs on. Nothing after this writes to cfg."""
     run = {}
+    try:  # echoed as checked: "rng_seed": 3.0 is recorded as 3
+        cfg["scenario"] = _scenario_section(cfg["scenario"])
+    except ValueError as exc:
+        raise ConfigError(f"invalid scenario: {exc}") from exc
     if command in ("solve", "verify"):
-        run["tol"] = _positive_finite(cfg["solve"]["tol"], "solve.tol")
+        cfg["solve"]["tol"] = run["tol"] = _positive_finite(cfg["solve"]["tol"], "solve.tol")
     if command == "verify":
-        # a contract file carries its own type ladder: no scenario is read
+        # a contract file carries its own type ladder: no ladder is built from the scenario
         return run
     section = cfg[command]
     scenario, run["table"] = scenario_from_config(cfg)
     run["scenario"] = scenario
-    cfg["scenario"] = _scenario_section(scenario._asdict())  # as checked: counts as ints, numbers as floats
     if command != "sweep" and scenario.k_types > MAX_TYPES:
         k = scenario.k_types
         raise ConfigError(f"{command} writes a K x K table, so it serves at most {MAX_TYPES:,} types, got {k:,}")
     if command == "sweep":
         lo, hi = gamma_range(scenario)
-        section["gamma_min"] = gamma_min = _resolve_gamma(section["gamma_min"], lo, "sweep.gamma_min")
-        section["gamma_max"] = gamma_max = _resolve_gamma(section["gamma_max"], hi, "sweep.gamma_max")
+        section["gamma_min"] = gamma_min = _positive_finite(section["gamma_min"], "sweep.gamma_min", lo)
+        section["gamma_max"] = gamma_max = _positive_finite(section["gamma_max"], "sweep.gamma_max", hi)
         try:
             section["gamma_steps"] = steps = _integer(section["gamma_steps"], "sweep.gamma_steps")
         except ValueError as exc:
@@ -257,7 +259,7 @@ def _resolve(command: str, cfg: dict) -> dict:
         if gamma_min > gamma_max:
             raise ConfigError(f"invalid gamma range [{gamma_min}, {gamma_max}]")
         return run
-    run["gamma"] = section["gamma"] = _resolve_gamma(section["gamma"], reference_gamma(scenario), f"{command}.gamma")
+    run["gamma"] = section["gamma"] = _positive_finite(section["gamma"], f"{command}.gamma", reference_gamma(scenario))
     if command == "curves":
         k = scenario.k_types
         probes = list(range(1, k + 1)) if section["probe_types"] is None else section["probe_types"]

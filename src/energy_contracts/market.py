@@ -2,9 +2,9 @@
 energy market: one data collector (the buyer of received power) and N
 self-interested charger nodes (the sellers).
 
-All powers are expressed in a single linear power unit (mW by default, see
-``scenario.ScenarioConfig.power_unit``), bandwidth in rate units valued at
-one reward unit per rate unit, and rewards are a dimensionless scalar.
+All powers are expressed in one linear unit (the scenario carries them in uW,
+see ``scenario.UW_PER_MW``), bandwidth in rate units valued at one reward
+unit per rate unit, and rewards are a dimensionless scalar.
 
 Only the standard library is imported at module level, so that verify, which
 reads these types but sums no expectation, runs without loading numpy; the

@@ -22,9 +22,9 @@ if TYPE_CHECKING:
 
     from .solver import SolveResult
 
-# q is carried in mW or uW; theta scales with the square of the power unit
-# and the SNR slope with its inverse, leaving every utility invariant.
-POWER_UNIT_SCALE = {"mW": 1.0, "uW": 1e3}
+# q is carried in uW: theta = G^2/a is 1e6 and the SNR slope 1e-3 times its mW value. Every utility is unchanged,
+# and the reference ladder spans 1e-4..1.6e-2 rather than 1e-10..1.6e-8, which keeps the solver well conditioned.
+UW_PER_MW = 1e3
 
 RNG_ALGORITHM = "pcg64"  # numpy default_rng; recorded in run metadata
 
@@ -43,7 +43,6 @@ class _ScenarioConfig(NamedTuple):
     bandwidth_hz: float = 1e6
     noise_mw: float = 1e-8
     rng_seed: int = 20260808
-    power_unit: str = "uW"
 
 
 def _integer(value, name: str) -> int:
@@ -56,32 +55,40 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
+def _real(value, name: str) -> float:
+    """value as a float; ValueError for a bool, a string, None or a number that is not finite as a float."""
+    import numbers  # not loaded by the CLI's import
+
+    try:
+        finite = isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        finite = False
+    if not finite:
+        raise ValueError(f"{name} {value!r} is not a finite number")
+    return float(value)
+
+
 def _as_field_type(name: str, value, default):
-    """value as its field's type, the type of its default: a count through _integer, a JSON list as a
-    tuple of floats, a number as a float. ValueError naming the field for a value that has no such form."""
+    """value as its field's type, the type of its default: a count through _integer, a real through _real and a
+    range as a list of reals. ValueError naming the field for a value that has no such form."""
     if isinstance(default, int):
         return _integer(value, name)
-    try:
-        if not isinstance(default, tuple):
-            return type(default)(value)
-        if isinstance(value, str):  # not a range of its characters
-            raise TypeError(value)
-        return tuple(map(float, value))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{name} {value!r} is not a {type(default).__name__}") from exc
+    if isinstance(default, float):
+        return _real(value, name)
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{name} {value!r} is not a [low, high] pair")
+    return tuple(_real(entry, f"{name}[{i}]") for i, entry in enumerate(value))
 
 
 class ScenarioConfig(_ScenarioConfig):
     """Deployment and market parameters; defaults reproduce the reference
     simulation setup.
 
-    Distances in meters, noise in mW, bandwidth in Hz. Ranges are inclusive
-    [low, high] pairs. power_unit selects the unit q is expressed in; "uW"
-    keeps the solver numbers well scaled for these defaults. Each value is
-    stored as its default's type (a list as a tuple, an integral count as an
-    int). Every number must be finite and every count an integer; the type
-    ladder and SNR-slope range are built once here, so a config they cannot
-    use is refused.
+    Distances in meters, noise in mW, bandwidth in Hz; q is in uW (see
+    UW_PER_MW). Ranges are inclusive [low, high] pairs. Each value is a count,
+    stored as an int, or a finite real, stored as a float (a range as a tuple
+    of two); the type ladder and SNR-slope range are built once here, so a
+    config they cannot use is refused.
     """
 
     __slots__ = ()
@@ -95,19 +102,14 @@ class ScenarioConfig(_ScenarioConfig):
             raise ValueError("k_types must be at least 1")
         for name in ("a_range", "d_ms_range", "d_as_range"):
             pair = getattr(self, name)
-            if not (len(pair) == 2 and 0.0 < pair[0] <= pair[1] < math.inf):
+            if not (len(pair) == 2 and 0.0 < pair[0] <= pair[1]):
                 raise ValueError(f"{name} must be a finite positive nonempty [low, high] pair")
-        for name in ("path_loss_alpha", "ref_atten_db", "bandwidth_hz", "noise_mw"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.path_loss_alpha <= 0.0:
             raise ValueError("path_loss_alpha must be positive")
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError("eta must lie in [0, 1]")
         if self.bandwidth_hz <= 0.0 or self.noise_mw <= 0.0:
             raise ValueError("bandwidth_hz and noise_mw must be positive")
-        if self.power_unit not in POWER_UNIT_SCALE:
-            raise ValueError(f"power_unit must be one of {sorted(POWER_UNIT_SCALE)}")
         # building them is the check: TypeProfile validates theta, channel_gain the distances
         build_type_ladder(self)
         gamma_range(self)
@@ -129,10 +131,6 @@ def channel_gain(distance_m: float, alpha: float, ref_atten_db: float) -> float:
         raise ValueError(f"ref_atten_db {ref_atten_db} overflows the path loss 10^(-ref/10)") from None
 
 
-def power_scale(cfg: ScenarioConfig) -> float:
-    return POWER_UNIT_SCALE[cfg.power_unit]
-
-
 def build_type_ladder(cfg: ScenarioConfig) -> TypeProfile:
     """K equally spaced quality values spanning the physically attainable
     range.
@@ -143,12 +141,11 @@ def build_type_ladder(cfg: ScenarioConfig) -> TypeProfile:
     """
     import numpy as np
 
-    scale = power_scale(cfg)
     g_far = channel_gain(cfg.d_ms_range[1], cfg.path_loss_alpha, cfg.ref_atten_db)
     g_near = channel_gain(cfg.d_ms_range[0], cfg.path_loss_alpha, cfg.ref_atten_db)
     try:
-        theta_min = g_far**2 / cfg.a_range[1] * scale * scale
-        theta_max = g_near**2 / cfg.a_range[0] * scale * scale
+        theta_min = g_far**2 / cfg.a_range[1] * UW_PER_MW * UW_PER_MW
+        theta_max = g_near**2 / cfg.a_range[0] * UW_PER_MW * UW_PER_MW
     except OverflowError:
         theta_max = math.inf
     # theta_min <= theta_max; checked here so that linspace never sees inf
@@ -161,7 +158,7 @@ def build_type_ladder(cfg: ScenarioConfig) -> TypeProfile:
 
 def _gamma_at(cfg: ScenarioConfig, distance_m: float) -> float:
     gain = channel_gain(distance_m, cfg.path_loss_alpha, cfg.ref_atten_db)
-    return cfg.eta * gain / cfg.noise_mw / power_scale(cfg)
+    return cfg.eta * gain / cfg.noise_mw / UW_PER_MW
 
 
 def gamma_range(cfg: ScenarioConfig) -> tuple[float, float]:

@@ -60,10 +60,31 @@ INTEGER_FIELDS = [
 ]
 
 
-def integer_field_run(tmp_path: Path, command: str, section: str, key: str, value) -> tuple[int, Path]:
-    """(exit code, output directory) of `command` with the field set to value (a probe list's one entry)."""
+# each real field: the command that reads it, its section and its key (a range's for its low end)
+REAL_FIELDS = [
+    *(("solve", "scenario", key) for key in ("path_loss_alpha", "ref_atten_db", "eta", "bandwidth_hz", "noise_mw")),
+    *(("solve", "scenario", key) for key in ("a_range", "d_ms_range", "d_as_range")),
+    ("solve", "solve", "gamma"),
+    ("solve", "solve", "tol"),
+    ("sweep", "sweep", "gamma_min"),
+    ("sweep", "sweep", "gamma_max"),
+    ("curves", "curves", "gamma"),
+]
+
+# values no real field takes, by id: a null gamma takes its default from the scenario, so null is left out there
+NON_REALS = {"true": True, "string": "0.5", "null": None, "nan": math.nan, "inf": math.inf, "-inf": -math.inf,
+             "1e400": 10**400}
+
+
+def field_run(tmp_path: Path, command: str, section: str, key: str, value) -> tuple[int, Path]:
+    """(exit code, output directory) of `command` with the field set to value (a probe list's one entry, a
+    range's low end)."""
     payload = {"scenario": {"n_eaps": 2, "k_types": 5}}
-    payload.setdefault(section, {})[key] = [value] if key == "probe_types" else value
+    if key == "probe_types":
+        value = [value]
+    elif key.endswith("_range"):
+        value = [value, ScenarioConfig._field_defaults[key][1]]
+    payload.setdefault(section, {})[key] = value
     out = tmp_path / "out"
     return main([command, "--config", write_config(tmp_path, payload), "--out", str(out)]), out
 
@@ -122,7 +143,7 @@ class TestConfigHandling:
         path = write_config(tmp_path, {"scenario": {"n_eaps": 2, "k_types": 5}, "solve": {"gamma": "x"}})
         out = tmp_path / "out"
         assert main(["solve", "--config", path, "--out", str(out)]) == 1
-        assert capsys.readouterr().err == "config error: solve.gamma must be a number, got 'x'\n"
+        assert capsys.readouterr().err == "config error: solve.gamma 'x' is not a finite number\n"
         assert not out.exists()
 
     def test_cli_exit_code_on_config_error(self, tmp_path, capsys):
@@ -164,11 +185,38 @@ class TestConfigHandling:
     )
     def test_non_integer_field_is_a_config_error(self, tmp_path, capsys, command, section, key, value):
         # one check, scenario._integer, and one message for every integer field
-        code, out = integer_field_run(tmp_path, command, section, key, value)
+        code, out = field_run(tmp_path, command, section, key, value)
         assert code == 1
         err = capsys.readouterr().err
         named = {"gamma_steps": "sweep.gamma_steps", "probe_types": "curves.probe_types: probe type"}.get(key, key)
         assert err.startswith("config error:") and err.endswith(f"{named} {value!r} is not an integer\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, section, key, value",
+        [
+            pytest.param(*field, value, id=f"{field[2]}-{name}")
+            for field in REAL_FIELDS
+            for name, value in NON_REALS.items()
+            if not (value is None and field[2].startswith("gamma"))
+        ],
+    )
+    def test_non_real_field_is_a_config_error(self, tmp_path, capsys, command, section, key, value):
+        # one check, scenario._real, and one message for every real field: true and "0.5" were read as 1.0
+        # and 0.5, and a gamma or tolerance of 10**400 ended in an OverflowError traceback
+        code, out = field_run(tmp_path, command, section, key, value)
+        assert code == 1
+        err = capsys.readouterr().err
+        named = f"{key}[0]" if key.endswith("_range") else key if section == "scenario" else f"{section}.{key}"
+        assert err.startswith("config error:") and err.endswith(f"{named} {value!r} is not a finite number\n")
+        assert not out.exists()
+
+    def test_retired_power_unit_is_an_unknown_field(self, tmp_path, capsys):
+        # removed in 0.8.0: q is carried in uW, and no utility depends on the unit
+        path = write_config(tmp_path, {"scenario": {"n_eaps": 2, "k_types": 5, "power_unit": "mW"}})
+        out = tmp_path / "out"
+        assert main(["solve", "--config", path, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "config error: unknown field 'scenario.power_unit'\n"
         assert not out.exists()
 
     def test_integral_float_count_is_accepted(self, tmp_path):
@@ -182,12 +230,12 @@ class TestConfigHandling:
         path = write_config(tmp_path, {"scenario": {"n_eaps": 2, "k_types": 5, "a_range": ["a", 1.0]}})
         out = tmp_path / "out"
         assert main(["solve", "--config", path, "--out", str(out)]) == 1
-        assert capsys.readouterr().err == "config error: invalid scenario: a_range ['a', 1.0] is not a tuple\n"
+        assert capsys.readouterr().err == "config error: invalid scenario: a_range[0] 'a' is not a finite number\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command, section, key", INTEGER_FIELDS)
     def test_every_integer_field_reads_an_integral_float(self, tmp_path, command, section, key):
-        assert integer_field_run(tmp_path, command, section, key, 3.0)[0] == 0
+        assert field_run(tmp_path, command, section, key, 3.0)[0] == 0
 
     @staticmethod
     def _assert_solver_section_refused(tmp_path, capsys, command, key, value):
@@ -777,6 +825,33 @@ class TestRoundTrip:
         assert '"seed": 3,' in (runs[1] / "manifest.json").read_text()
         for name in sorted({path.name for path in runs[0].iterdir()} - {"manifest.json"}):
             assert (runs[1] / name).read_bytes() == (runs[0] / name).read_bytes(), name
+
+    def test_verify_echoes_the_scenario_as_checked(self, tmp_path, capsys):
+        # verify builds no ladder, but echoes each field as solve does: "rng_seed": 3.0 was recorded as "seed": 3.0
+        assert main(["solve", "--out", str(tmp_path / "run")]) == 0
+        contract = str(tmp_path / "run" / "contract.csv")
+        config = write_config(tmp_path, {"scenario": {"n_eaps": 2, "k_types": 5, "rng_seed": 3.0, "a_range": [0.1, 1]}})
+        out = tmp_path / "verify"
+        assert main(["verify", "--config", config, "--contract", contract, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["seed"] == 3 and type(manifest["seed"]) is int
+        assert manifest["config_echo"]["scenario"]["a_range"] == [0.1, 1.0]
+        assert '"seed": 3,' in (out / "manifest.json").read_text()
+        config = write_config(tmp_path, {"scenario": {"n_eaps": 2, "k_types": 5, "eta": True}}, "eta.json")
+        assert main(["verify", "--config", config, "--contract", contract, "--out", str(tmp_path / "v")]) == 1
+        assert capsys.readouterr().err.endswith("config error: invalid scenario: eta True is not a finite number\n")
+        assert not (tmp_path / "v").exists()
+
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_tol_is_echoed_as_checked(self, tmp_path, command):
+        # the tolerance the run used: "tol": 1 ran as 1.0 but was echoed as 1
+        assert main(["solve", "--out", str(tmp_path / "run")]) == 0
+        config = write_config(tmp_path, {"scenario": {"n_eaps": 2, "k_types": 5}, "solve": {"tol": 1}})
+        contract = ["--contract", str(tmp_path / "run" / "contract.csv")] if command == "verify" else []
+        out = tmp_path / "out"
+        assert main([command, "--config", config, *contract, "--out", str(out)]) == 0
+        echo = json.loads((out / "config_echo.json").read_text())
+        assert echo["solve"]["tol"] == 1.0 and type(echo["solve"]["tol"]) is float
 
     def test_full_precision_floats(self, tmp_path):
         out = tmp_path / "run"

@@ -9,6 +9,7 @@ from energy_contracts import (
     Contract,
     ScenarioConfig,
     SweepError,
+    TypeProfile,
     bandwidth_mbps,
     build_type_ladder,
     channel_gain,
@@ -25,6 +26,12 @@ from energy_contracts import (
 
 # the path loss of the reference setup: exponent 2, 30 dB at 1 m
 PATH_LOSS = (ScenarioConfig().path_loss_alpha, ScenarioConfig().ref_atten_db)
+
+
+def milliwatt_ladder(cfg: ScenarioConfig) -> TypeProfile:
+    """cfg's ladder with q in mW rather than uW: theta = G^2/a scales with the square of the power unit, and the
+    SNR slope with its inverse, so the mW slope is 1e3 times the uW one."""
+    return TypeProfile(1e-6 * build_type_ladder(cfg).as_array())
 
 
 class TestChannelGain:
@@ -45,8 +52,7 @@ class TestChannelGain:
 
 class TestTypeLadder:
     def test_reference_endpoints_milliwatt_units(self):
-        cfg = ScenarioConfig(power_unit="mW")
-        thetas = build_type_ladder(cfg).as_array()
+        thetas = milliwatt_ladder(ScenarioConfig()).as_array()
         assert thetas[0] == pytest.approx(1e-10, rel=1e-9)
         assert thetas[-1] == pytest.approx(1.6e-8, rel=1e-9)
 
@@ -70,13 +76,16 @@ class TestTypeLadder:
 
 class TestGammaRange:
     def test_reference_range(self):
-        lo, hi = gamma_range(ScenarioConfig(power_unit="mW"))
+        # in mW: the uW slope times 1e3
+        lo, hi = (1e3 * gamma for gamma in gamma_range(ScenarioConfig()))
         assert lo == pytest.approx(80.0, rel=1e-12)
         assert hi == pytest.approx(0.5 * (1e-3 / 225.0) / 1e-8, rel=1e-12)
 
     def test_microwatt_scaling(self):
-        lo_mw, hi_mw = gamma_range(ScenarioConfig(power_unit="mW"))
-        lo_uw, hi_uw = gamma_range(ScenarioConfig(power_unit="uW"))
+        # eta * G / N0 with N0 in mW is the slope per mW of q; per uW it is 1e-3 times that
+        cfg = ScenarioConfig()
+        lo_mw, hi_mw = (cfg.eta * channel_gain(d, *PATH_LOSS) / cfg.noise_mw for d in cfg.d_as_range[::-1])
+        lo_uw, hi_uw = gamma_range(cfg)
         assert lo_uw == pytest.approx(lo_mw / 1e3, rel=1e-12)
         assert hi_uw == pytest.approx(hi_mw / 1e3, rel=1e-12)
 
@@ -85,8 +94,8 @@ class TestGammaRange:
         assert lo == 0.0 and hi == 0.0
 
     def test_reference_gamma_is_midpoint_distance(self):
-        cfg = ScenarioConfig(power_unit="mW")
-        assert reference_gamma(cfg) == pytest.approx(0.5 * channel_gain(20.0, *PATH_LOSS) / 1e-8, rel=1e-12)
+        gamma_mw = 1e3 * reference_gamma(ScenarioConfig())
+        assert gamma_mw == pytest.approx(0.5 * channel_gain(20.0, *PATH_LOSS) / 1e-8, rel=1e-12)
 
     def test_bandwidth_reported_in_mbps_units(self):
         assert bandwidth_mbps(ScenarioConfig()) == 1.0
@@ -103,11 +112,12 @@ class TestScenarioValidation:
             {"path_loss_alpha": 0.0},
             {"eta": 1.5},
             {"noise_mw": 0.0},
-            {"power_unit": "W"},
+            {"eta": True},
             {"a_range": (1e-320, 1.0)},
             {"d_ms_range": (0.5, 10.0)},
             {"ref_atten_db": float("nan")},
             {"bandwidth_hz": float("inf")},
+            {"noise_mw": 10**400},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -144,14 +154,17 @@ class TestScenarioValidation:
     @pytest.mark.parametrize(
         "kwargs, message",
         [
-            ({"eta": "x"}, "eta 'x' is not a float"),
-            ({"bandwidth_hz": None}, "bandwidth_hz None is not a float"),
-            ({"a_range": 5}, "a_range 5 is not a tuple"),
+            ({"eta": "x"}, "eta 'x' is not a finite number"),
+            ({"bandwidth_hz": None}, "bandwidth_hz None is not a finite number"),
+            ({"a_range": 5}, "a_range 5 is not a [low, high] pair"),
             ({"d_as_range": (15.0, 20.0, 25.0)}, "d_as_range must be a finite positive nonempty"),
             # each entry is converted here, not compared as it is against the bounds
-            ({"a_range": ["a", 1.0]}, "a_range ['a', 1.0] is not a tuple"),
-            ({"d_ms_range": [None, 10.0]}, "d_ms_range [None, 10.0] is not a tuple"),
-            ({"d_as_range": "12"}, "d_as_range '12' is not a tuple"),
+            ({"a_range": ["a", 1.0]}, "a_range[0] 'a' is not a finite number"),
+            ({"d_ms_range": [5.0, None]}, "d_ms_range[1] None is not a finite number"),
+            ({"d_as_range": "12"}, "d_as_range '12' is not a [low, high] pair"),
+            # a bool and an int past the float range are numbers, but no real
+            ({"path_loss_alpha": True}, "path_loss_alpha True is not a finite number"),
+            pytest.param({"ref_atten_db": 10**400}, f"ref_atten_db {10**400} is not a finite number", id="10**400"),
         ],
     )
     def test_unconvertible_values_name_their_field(self, kwargs, message):
@@ -165,11 +178,10 @@ class TestScenarioValidation:
 
 class TestUnitInvariance:
     def test_solution_invariant_under_power_unit(self):
-        cfg_uw = ScenarioConfig()
-        cfg_mw = ScenarioConfig(power_unit="mW")
-        gamma_uw, gamma_mw = reference_gamma(cfg_uw), reference_gamma(cfg_mw)
-        res_uw = solve(build_type_ladder(cfg_uw), gamma_uw, 1.0, cfg_uw.n_eaps)
-        res_mw = solve(build_type_ladder(cfg_mw), gamma_mw, 1.0, cfg_mw.n_eaps)
+        cfg = ScenarioConfig()
+        gamma_uw = reference_gamma(cfg)
+        res_uw = solve(build_type_ladder(cfg), gamma_uw, 1.0, cfg.n_eaps)
+        res_mw = solve(milliwatt_ladder(cfg), 1e3 * gamma_uw, 1.0, cfg.n_eaps)
         assert res_uw.converged and res_mw.converged
         assert res_uw.objective == pytest.approx(res_mw.objective, rel=1e-9)
         np.testing.assert_allclose(res_uw.contract.qs, 1e3 * res_mw.contract.qs, rtol=1e-5)
@@ -177,9 +189,13 @@ class TestUnitInvariance:
 
     def test_sweep_welfare_invariant_under_power_unit(self):
         grid_steps = 3
-        sweep_uw = run_sweep(ScenarioConfig(), default_gamma_grid(ScenarioConfig(), grid_steps))
-        cfg_mw = ScenarioConfig(power_unit="mW")
-        sweep_mw = run_sweep(cfg_mw, default_gamma_grid(cfg_mw, grid_steps))
+        grid = default_gamma_grid(ScenarioConfig(), grid_steps)
+        sweep_uw = run_sweep(ScenarioConfig(), grid)
+        # run_sweep builds its own ladder: an a 1e6 times dearer scales theta = G^2/a as q in mW would
+        cfg_mw = ScenarioConfig(a_range=(1e5, 1e6))
+        mw_thetas = milliwatt_ladder(ScenarioConfig()).as_array()
+        np.testing.assert_allclose(build_type_ladder(cfg_mw).as_array(), mw_thetas, rtol=1e-15)
+        sweep_mw = run_sweep(cfg_mw, 1e3 * grid)
         # iterative searches stop at slightly different points per unit system
         # (absolute tolerances), so iterated quantities agree to ~1e-6 while
         # the closed-form benchmark agrees to full precision

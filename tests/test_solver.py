@@ -303,9 +303,11 @@ class TestSolve:
         assert res.contract.qs.min() > 0.0
 
     def test_underflowing_gamma_gives_the_null_menu(self):
-        # in mW the maximizer at the smallest subnormal gamma underflows to 0, as does the start
-        cfg = ScenarioConfig(power_unit="mW")
-        res = solve(build_type_ladder(cfg), 5e-324, bandwidth_mbps(cfg), 2)
+        # with q in mW (a ladder 1e-6 times the uW one) the maximizer at the smallest subnormal gamma
+        # underflows to 0, as does the start
+        cfg = ScenarioConfig()
+        profile = TypeProfile(1e-6 * build_type_ladder(cfg).as_array())
+        res = solve(profile, 5e-324, bandwidth_mbps(cfg), 2)
         assert res.converged
         np.testing.assert_array_equal(res.contract.qs, np.zeros(5))
         np.testing.assert_array_equal(res.contract.pis, np.zeros(5))
