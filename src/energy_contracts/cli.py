@@ -70,26 +70,6 @@ class ConfigError(Exception):
     pass
 
 
-def _scenario_section(values: dict) -> dict:
-    """The scenario section as checked, each field by scenario._as_field_type (no ladder built), a range as a list."""
-    defaults = ScenarioConfig._field_defaults
-    checked = {name: _as_field_type(name, values[name], default) for name, default in defaults.items()}
-    return {name: list(value) if isinstance(value, tuple) else value for name, value in checked.items()}
-
-
-def default_config() -> dict:
-    """Fully populated configuration reproducing the reference setup.
-
-    The scenario section is the ScenarioConfig defaults.
-    """
-    return {
-        "scenario": dict(ScenarioConfig._field_defaults),
-        "solve": {"gamma": None, "tol": DEFAULT_TOL},
-        "sweep": {"gamma_min": None, "gamma_max": None, "gamma_steps": DEFAULT_GAMMA_STEPS},
-        "curves": {"gamma": None, "probe_types": None},
-    }
-
-
 def load_config(path: str | Path) -> dict:
     try:
         text = Path(path).read_text()
@@ -104,25 +84,20 @@ def load_config(path: str | Path) -> dict:
     return data
 
 
-def _merge_section(name: str, user: dict, defaults: dict, required: tuple[str, ...]) -> dict:
-    unknown = sorted(set(user) - set(defaults))
-    if unknown:
-        raise ConfigError(f"unknown field '{name}.{unknown[0]}'")
-    for key in required:
-        if key not in user:
-            raise ConfigError(f"missing required field '{name}.{key}'")
-    merged = dict(defaults)
-    merged.update(user)
-    return merged
-
-
 def resolve_config(user: dict | None) -> dict:
-    """Merge a user config onto the defaults with strict field checking.
+    """Merge a user config onto the fully populated defaults, which reproduce
+    the reference setup, with strict field checking.
 
-    A provided file must declare the market size (scenario.n_eaps and
-    scenario.k_types); everything else falls back to the defaults.
+    The scenario section is the ScenarioConfig defaults. A provided file must
+    declare the market size (scenario.n_eaps and scenario.k_types); everything
+    else falls back to the defaults.
     """
-    resolved = default_config()
+    resolved = {
+        "scenario": dict(ScenarioConfig._field_defaults),
+        "solve": {"gamma": None, "tol": DEFAULT_TOL},
+        "sweep": {"gamma_min": None, "gamma_max": None, "gamma_steps": DEFAULT_GAMMA_STEPS},
+        "curves": {"gamma": None, "probe_types": None},
+    }
     if user is None:
         return resolved
     unknown = sorted(set(user) - set(resolved))
@@ -130,12 +105,17 @@ def resolve_config(user: dict | None) -> dict:
         raise ConfigError(f"unknown section '{unknown[0]}'")
     if "scenario" not in user:
         raise ConfigError("missing required field 'scenario'")
-    required = {"scenario": ("n_eaps", "k_types")}
-    for name in resolved:
-        if name in user:
-            if not isinstance(user[name], dict):
-                raise ConfigError(f"section '{name}' must be a JSON object")
-            resolved[name] = _merge_section(name, user[name], resolved[name], required.get(name, ()))
+    for name, section in resolved.items():
+        given = user.get(name, {})
+        if not isinstance(given, dict):
+            raise ConfigError(f"section '{name}' must be a JSON object")
+        unknown = sorted(set(given) - set(section))
+        if unknown:
+            raise ConfigError(f"unknown field '{name}.{unknown[0]}'")
+        missing = [key for key in ("n_eaps", "k_types") if name == "scenario" and key not in given]
+        if missing:
+            raise ConfigError(f"missing required field 'scenario.{missing[0]}'")
+        section.update(given)
     return resolved
 
 
@@ -151,22 +131,6 @@ def _positive_finite(value, name: str, derived: float | None = None) -> float:
     if not number > 0.0:
         raise ConfigError(f"{name} must be positive, got {number}")
     return number
-
-
-def scenario_from_config(cfg: dict) -> tuple[ScenarioConfig, dict]:
-    """The scenario and its table record: the count vectors an expectation pass sums ("rows") and the bytes
-    of the table the split reads ("bytes"). Refused when they are over split_nbytes's budgets: every command
-    but verify sums over them. The budgets are checked before the scenario is built, which forms the K-type
-    ladder, so only the market size, two ints once _resolve has checked the section, is read ahead of it."""
-    scenario = cfg["scenario"]
-    try:
-        n, k = scenario["n_eaps"], scenario["k_types"]
-        from .compositions import split_nbytes, table_rows
-
-        table = {"rows": table_rows(n, k), "bytes": split_nbytes(n, k)}
-        return ScenarioConfig(**scenario), table
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"invalid scenario: {exc}") from exc
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -229,44 +193,58 @@ def _solve_record(gamma: float, result) -> dict:
 def _resolve(command: str, cfg: dict) -> dict:
     """The one resolve step: check every field `command` reads, fill the nulls
     it derives from the scenario into cfg (so config_echo.json records them),
-    and return the typed values it runs on. Nothing after this writes to cfg."""
+    and return the typed values it runs on. Nothing after this writes to cfg.
+
+    Every command but verify records its table, the count vectors a pass sums
+    ("rows") and the bytes of the table the split reads ("bytes"), refused over
+    split_nbytes's budgets before ScenarioConfig forms the K-type ladder."""
     run = {}
-    try:  # echoed as checked: "rng_seed": 3.0 is recorded as 3
-        cfg["scenario"] = _scenario_section(cfg["scenario"])
+    try:  # echoed as checked: "rng_seed": 3.0 is recorded as 3, a range as a list
+        values = {
+            name: _as_field_type(name, cfg["scenario"][name], default)
+            for name, default in ScenarioConfig._field_defaults.items()
+        }
     except ValueError as exc:
         raise ConfigError(f"invalid scenario: {exc}") from exc
+    cfg["scenario"] = {name: list(value) if isinstance(value, tuple) else value for name, value in values.items()}
     if command in ("solve", "verify"):
         cfg["solve"]["tol"] = run["tol"] = _positive_finite(cfg["solve"]["tol"], "solve.tol")
     if command == "verify":
         # a contract file carries its own type ladder: no ladder is built from the scenario
         return run
+    try:
+        from .compositions import split_nbytes, table_rows
+
+        n, k = values["n_eaps"], values["k_types"]
+        run["table"] = {"rows": table_rows(n, k), "bytes": split_nbytes(n, k)}
+        run["scenario"] = scenario = ScenarioConfig(**values)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"invalid scenario: {exc}") from exc
     section = cfg[command]
-    scenario, run["table"] = scenario_from_config(cfg)
-    run["scenario"] = scenario
-    if command != "sweep" and scenario.k_types > MAX_TYPES:
-        k = scenario.k_types
+    if command != "sweep" and k > MAX_TYPES:
         raise ConfigError(f"{command} writes a K x K table, so it serves at most {MAX_TYPES:,} types, got {k:,}")
     if command == "sweep":
         lo, hi = gamma_range(scenario)
-        section["gamma_min"] = gamma_min = _positive_finite(section["gamma_min"], "sweep.gamma_min", lo)
-        section["gamma_max"] = gamma_max = _positive_finite(section["gamma_max"], "sweep.gamma_max", hi)
+        gamma_min = _positive_finite(section["gamma_min"], "sweep.gamma_min", lo)
+        gamma_max = _positive_finite(section["gamma_max"], "sweep.gamma_max", hi)
         try:
-            section["gamma_steps"] = steps = _integer(section["gamma_steps"], "sweep.gamma_steps")
+            steps = _integer(section["gamma_steps"], "sweep.gamma_steps")
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if not 1 <= steps <= MAX_GAMMA_STEPS:
             raise ConfigError(f"sweep.gamma_steps must be between 1 and {MAX_GAMMA_STEPS:,}, got {steps}")
         if gamma_min > gamma_max:
             raise ConfigError(f"invalid gamma range [{gamma_min}, {gamma_max}]")
+        section.update(gamma_min=gamma_min, gamma_max=gamma_max, gamma_steps=steps)
+        run.update(section)
         return run
     run["gamma"] = section["gamma"] = _positive_finite(section["gamma"], f"{command}.gamma", reference_gamma(scenario))
     if command == "curves":
-        k = scenario.k_types
         probes = list(range(1, k + 1)) if section["probe_types"] is None else section["probe_types"]
         if not isinstance(probes, list):
             raise ConfigError(f"curves.probe_types must be a list of type indices, got {probes!r}")
         try:
-            section["probe_types"] = check_probe_types(probes, k)
+            section["probe_types"] = run["probe_types"] = check_probe_types(probes, k)
         except ValueError as exc:
             raise ConfigError(f"curves.probe_types: {exc}") from exc
     return run
@@ -315,7 +293,7 @@ def cmd_sweep(cfg: dict, run: dict, out_dir: Path, args) -> int:
 
     from .scenario import run_sweep
 
-    gamma_min, gamma_max, steps = (cfg["sweep"][key] for key in ("gamma_min", "gamma_max", "gamma_steps"))
+    gamma_min, gamma_max, steps = (run[key] for key in ("gamma_min", "gamma_max", "gamma_steps"))
     try:
         sweep = run_sweep(run["scenario"], np.linspace(gamma_min, gamma_max, steps))
     except SweepError as exc:
@@ -336,7 +314,7 @@ def cmd_curves(cfg: dict, run: dict, out_dir: Path, args) -> int:
     if not result.converged:
         print(f"solver did not converge (residual {result.kkt_residual:g})", file=sys.stderr)
         return EXIT_SOLVER
-    probes = cfg["curves"]["probe_types"]
+    probes = run["probe_types"]
     table = utility_curves(result.contract, profile, probes)
 
     rows = [

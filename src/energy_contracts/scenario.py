@@ -110,6 +110,8 @@ class ScenarioConfig(_ScenarioConfig):
             raise ValueError("eta must lie in [0, 1]")
         if self.bandwidth_hz <= 0.0 or self.noise_mw <= 0.0:
             raise ValueError("bandwidth_hz and noise_mw must be positive")
+        if bandwidth_mbps(self) == 0.0:
+            raise ValueError(f"bandwidth_hz {self.bandwidth_hz} underflows to W = 0 Mbps")
         # building them is the check: TypeProfile validates theta, channel_gain the distances
         build_type_ladder(self)
         gamma_range(self)
@@ -151,9 +153,17 @@ def build_type_ladder(cfg: ScenarioConfig) -> TypeProfile:
     # theta_min <= theta_max; checked here so that linspace never sees inf
     if not math.isfinite(theta_max):
         raise ValueError(f"theta = G^2/a overflows: ref_atten_db {cfg.ref_atten_db} or a_range {cfg.a_range}")
-    if cfg.k_types == 1:
-        return TypeProfile(((theta_min + theta_max) / 2.0,))
-    return TypeProfile(tuple(np.linspace(theta_min, theta_max, cfg.k_types)))
+    try:
+        if theta_min == 0.0:  # refused at K=1 too, where the ladder is the midpoint
+            raise ValueError("the weakest type value underflows to 0")
+        if cfg.k_types == 1:
+            return TypeProfile(((theta_min + theta_max) / 2.0,))
+        return TypeProfile(tuple(np.linspace(theta_min, theta_max, cfg.k_types)))
+    except ValueError as exc:  # TypeProfile's refusal, with the fields that set theta
+        raise ValueError(
+            f"{exc}: the K={cfg.k_types} ladder of theta = G^2/a from path_loss_alpha {cfg.path_loss_alpha}, "
+            f"ref_atten_db {cfg.ref_atten_db}, d_ms_range {cfg.d_ms_range} and a_range {cfg.a_range}"
+        ) from None
 
 
 def _gamma_at(cfg: ScenarioConfig, distance_m: float) -> float:

@@ -25,7 +25,6 @@ from energy_contracts.cli import (
     main,
     read_contract_csv,
     resolve_config,
-    scenario_from_config,
 )
 from energy_contracts import feasibility
 from energy_contracts.feasibility import DEFAULT_TOL, MAX_TYPES
@@ -49,6 +48,9 @@ def solves_report(monkeypatch, **fields) -> None:
     real_solve = solver.solve
     monkeypatch.setattr(solver, "solve", lambda *args: real_solve(*args)._replace(**fields))
 
+
+# the scenario fields that set the type ladder theta = G^2/a, each named when the ladder is refused
+LADDER_FIELDS = ("path_loss_alpha", "ref_atten_db", "d_ms_range", "a_range")
 
 # each integer field: the command that reads it, its section and its key
 INTEGER_FIELDS = [
@@ -264,7 +266,7 @@ class TestConfigHandling:
 
     def test_defaults_come_from_the_records(self):
         cfg = resolve_config(None)
-        assert scenario_from_config(cfg)[0] == ScenarioConfig()
+        assert cli._resolve("solve", cfg)["scenario"] == ScenarioConfig()
         assert cfg["solve"]["tol"] == DEFAULT_TOL
         assert cfg["sweep"]["gamma_steps"] == inspect.signature(default_gamma_grid).parameters["steps"].default
 
@@ -301,6 +303,29 @@ class TestConfigHandling:
         assert main([command, "--config", path, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert "config error:" in err and "ref_atten_db" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    @pytest.mark.parametrize(
+        "scenario, named",
+        [
+            # theta = G^2/a underflows to 0
+            ({"path_loss_alpha": 400}, LADDER_FIELDS),
+            ({"d_ms_range": [5.0, 1e200]}, LADDER_FIELDS),
+            ({"ref_atten_db": 4000}, LADDER_FIELDS),
+            # one theta for all five types
+            ({"d_ms_range": [5.0, 5.0], "a_range": [1.0, 1.0]}, LADDER_FIELDS),
+            # W = bandwidth_hz / 1e6 underflows to 0, which would solve to the all-zero menu
+            ({"bandwidth_hz": 1e-320}, ("bandwidth_hz",)),
+        ],
+    )
+    def test_underflowing_ladder_or_bandwidth_names_the_fields(self, tmp_path, capsys, command, scenario, named):
+        path = write_config(tmp_path, {"scenario": {"n_eaps": 2, "k_types": 5, **scenario}})
+        out = tmp_path / "out"
+        assert main([command, "--config", path, "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error:")
+        assert all(field in lines[0] for field in named)
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["solve", "sweep", "curves"])

@@ -118,6 +118,8 @@ class TestScenarioValidation:
             {"ref_atten_db": float("nan")},
             {"bandwidth_hz": float("inf")},
             {"noise_mw": 10**400},
+            {"bandwidth_hz": 1e-320},  # positive, but W = bandwidth_hz / 1e6 underflows to 0
+            {"k_types": 1, "d_ms_range": (5.0, 1e200)},  # the weakest theta underflows to 0, also at K=1
         ],
     )
     def test_invalid_rejected(self, kwargs):
