@@ -137,14 +137,7 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(cell) for cell in row])
-
-
-def _fmt(cell) -> str:
-    if isinstance(cell, float):
-        return repr(float(cell))
-    return str(cell)
+        writer.writerows(rows)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -318,7 +311,7 @@ def cmd_curves(cfg: dict, run: dict, out_dir: Path, args) -> int:
     table = utility_curves(result.contract, profile, probes)
 
     rows = [
-        (probe, item_idx + 1, table[row_idx, item_idx])
+        (probe, item_idx + 1, float(table[row_idx, item_idx]))
         for row_idx, probe in enumerate(probes)
         for item_idx in range(profile.k)
     ]

@@ -36,7 +36,8 @@ _BLOCK_PAIRS = 16_384  # (a, b) pairs per split-table block; bounds each rate_te
 
 def table_rows(n_total: int, k_types: int) -> int:
     """Row count C(N+K-1, K-1) of the composition table, checked against
-    MAX_TABLE_ROWS before anything is allocated (ValueError over it).
+    MAX_TABLE_ROWS before anything is allocated (ValueError over it), as is
+    N+1, the log-factorials every table is built from.
 
     The count is C(N+K-1, j), j = min(N, K-1), reached through C(b+i, i),
     i = 1..j, b = N+K-1-j, and the product stops once it passes the budget.
@@ -55,12 +56,12 @@ def table_rows(n_total: int, k_types: int) -> int:
                 f"{n_total} sellers over {k_types} types make more than {MAX_TABLE_ROWS:,} count vectors, "
                 f"the composition table's budget (at least {rows:,})"
             )
+    if n_total >= MAX_TABLE_ROWS:  # only K=1 gets here: its one row is built from N+1 log-factorials
+        raise ValueError(
+            f"{n_total} sellers need {n_total + 1:,} log-factorials, "
+            f"over the composition table's budget of {MAX_TABLE_ROWS:,} rows"
+        )
     return rows
-
-
-def table_nbytes(n_total: int, k_types: int) -> int:
-    """Bytes composition_table holds, without building it: K narrow counts and a float64 per row."""
-    return table_rows(n_total, k_types) * (k_types * np.min_scalar_type(n_total).itemsize + 8)
 
 
 def _counts(n_total: int, k_types: int, rows: int) -> np.ndarray:
@@ -152,21 +153,14 @@ class SplitTable(NamedTuple):
 
 
 def split_nbytes(n_total: int, k_types: int) -> int:
-    """Bytes of the composition_table a split_table reads, without building either: the split holds
-    only views of it and a float per sum. Checked before anything is allocated (ValueError over a
-    budget): the market's count vectors and the C(N+m, m) rows of the table of m+1 columns, m =
-    ceil(K/2), against MAX_TABLE_ROWS, and these bytes with the 8K^2 of the Newton Hessian against
-    MAX_SOLVE_BYTES. K <= 3 reads the whole table, and C(N+m, m) then bounds its N+1 log-factorials."""
+    """Bytes of the composition_table a split_table reads, without building either: a narrow count
+    per column and a float64 per row of the table of m+1 columns, m = ceil(K/2), or of all K for
+    K <= 3; the split holds only views of it and a float per sum. Checked before anything is
+    allocated (ValueError over a budget): the market by table_rows, whose count is at least that
+    table's, and these bytes with the 8K^2 of the Newton Hessian against MAX_SOLVE_BYTES."""
     table_rows(n_total, k_types)
-    m = (k_types + 1) // 2
-    rows = math.comb(n_total + m, m)
-    if rows > MAX_TABLE_ROWS:
-        raise ValueError(
-            f"{n_total} sellers need {rows:,} rows of split table or log-factorials, "
-            f"over the composition table's budget of {MAX_TABLE_ROWS:,} rows"
-        )
-    # past the checks above, table_rows cannot raise its message of more types
-    nbytes = table_nbytes(n_total, k_types if k_types <= 3 else m + 1)
+    cols = k_types if k_types <= 3 else (k_types + 1) // 2 + 1
+    nbytes = math.comb(n_total + cols - 1, cols - 1) * (cols * np.min_scalar_type(n_total).itemsize + 8)
     if (needed := nbytes + 8 * k_types**2) > MAX_SOLVE_BYTES:
         raise ValueError(
             f"{n_total} sellers over {k_types} types need {needed:,} bytes of split table "

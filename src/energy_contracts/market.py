@@ -114,7 +114,7 @@ def eap_utility(item: ContractItem, theta: float) -> float:
     """Seller surplus pi - q^2/theta when a type-theta seller takes `item`."""
     if theta <= 0.0:
         raise ValueError(f"theta must be positive, got {theta}")
-    return item.pi - item.q**2 / theta
+    return item.pi - item.q * item.q / theta
 
 
 def dap_utility(counts, contract: Contract, gamma: float, bandwidth_w: float) -> float:

@@ -13,6 +13,7 @@ the solver import numpy and those modules when called.
 from __future__ import annotations
 
 import math
+import sys
 from typing import TYPE_CHECKING, NamedTuple
 
 from .market import Contract, TypeProfile
@@ -154,8 +155,8 @@ def build_type_ladder(cfg: ScenarioConfig) -> TypeProfile:
     if not math.isfinite(theta_max):
         raise ValueError(f"theta = G^2/a overflows: ref_atten_db {cfg.ref_atten_db} or a_range {cfg.a_range}")
     try:
-        if theta_min == 0.0:  # refused at K=1 too, where the ladder is the midpoint
-            raise ValueError("the weakest type value underflows to 0")
+        if theta_min < sys.float_info.min:  # 0 or subnormal, whose 1/theta overflows; refused at K=1 too
+            raise ValueError(f"the weakest type value underflows to {theta_min:g}")
         if cfg.k_types == 1:
             return TypeProfile(((theta_min + theta_max) / 2.0,))
         return TypeProfile(tuple(np.linspace(theta_min, theta_max, cfg.k_types)))

@@ -317,6 +317,8 @@ class TestConfigHandling:
             ({"d_ms_range": [5.0, 5.0], "a_range": [1.0, 1.0]}, LADDER_FIELDS),
             # W = bandwidth_hz / 1e6 underflows to 0, which would solve to the all-zero menu
             ({"bandwidth_hz": 1e-320}, ("bandwidth_hz",)),
+            # theta from 1e-314 is subnormal, and its 1/theta would overflow in the solver
+            ({"ref_atten_db": 1580}, LADDER_FIELDS),
         ],
     )
     def test_underflowing_ladder_or_bandwidth_names_the_fields(self, tmp_path, capsys, command, scenario, named):
@@ -350,8 +352,8 @@ class TestConfigHandling:
     @pytest.mark.parametrize(
         "argv, config, named",
         [
-            # one type has one count vector, but its split table reads N+1 rows to weigh it
-            (["solve"], {"scenario": {"n_eaps": 20_000_000, "k_types": 1}}, "20,000,001 rows"),
+            # one type has one count vector, but its table is built from N+1 log-factorials
+            (["solve"], {"scenario": {"n_eaps": 20_000_000, "k_types": 1}}, "20,000,001 log-factorials"),
             (["sweep"], {"scenario": {"n_eaps": 2, "k_types": 5}, "sweep": {"gamma_steps": 10**13}}, "gamma_steps"),
             (
                 ["sweep", "--gamma-steps", str(cli.MAX_GAMMA_STEPS + 1)],

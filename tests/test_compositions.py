@@ -193,8 +193,12 @@ class TestVectorisedBuild:
 
     @pytest.mark.parametrize("n, k", [(20, 8), (10, 10), (300, 3), (0, 1), (70_000, 2)])
     def test_nbytes_without_building(self, n, k):
-        nbytes = compositions.table_nbytes(n, k)
-        counts, probs = composition_table(n, k)
+        # K narrow counts and a float64 per row, as split_nbytes counts them for the table a split reads
+        cols = k if k <= 3 else (k + 1) // 2 + 1
+        nbytes = compositions.split_nbytes(n, k)
+        counts, probs = composition_table(n, cols)
+        assert counts.dtype == np.min_scalar_type(n) and probs.dtype == np.float64
+        assert counts.shape == (compositions.table_rows(n, cols), cols)
         assert nbytes == counts.nbytes + probs.nbytes
 
     def test_over_budget_refused_before_allocating(self):
@@ -206,6 +210,24 @@ class TestVectorisedBuild:
         finally:
             tracemalloc.stop()
         assert peak < 100_000
+
+    @pytest.mark.parametrize("build", ["table", "oracle"])
+    def test_one_type_over_budget_refused_before_allocating(self, build):
+        # one count vector, but weighed from N+1 log-factorials: 10,000,001 of them peaked at about 100 MB
+        n = compositions.MAX_TABLE_ROWS
+        composition_table.cache_clear()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"need {n + 1:,} log-factorials"):
+                if build == "table":
+                    composition_table(n, 1)
+                else:
+                    expected_dap_utility([0.5], [0.1], TypeProfile((1.0,)), 1.0, 1.0, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        assert compositions.table_rows(n - 1, 1) == 1
 
 
 class TestExpectedDapUtility:
@@ -395,7 +417,7 @@ class TestSplitTable:
         # the split is composition_table(N, K) itself, one run against the empty b, and holds nothing more
         counts, probs = composition_table(n, k)
         split = compositions.split_table(n, k)
-        assert compositions.split_nbytes(n, k) == compositions.table_nbytes(n, k)
+        assert compositions.split_nbytes(n, k) == counts.nbytes + probs.nbytes
         assert np.shares_memory(split.a, counts) and split.weight_a is probs
         assert split.runs == [(slice(0, counts.shape[0]), slice(0, 1), 1.0)]
         assert split.b.shape == (1, 0) and split.weight_b.tolist() == [1.0]
@@ -411,7 +433,9 @@ class TestSplitTable:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= compositions.table_nbytes(2000, 3) + 3e6
+        nbytes = compositions.split_nbytes(2000, 3)
+        assert nbytes == split.a.nbytes + split.weight_a.nbytes
+        assert peak <= nbytes + 3e6
 
     @pytest.mark.parametrize(
         "n, k, nbytes", [(9_999_999, 2, 160_000_000), (4470, 3, 139_960_184), (20, 8, 138_138), (10, 10, 42_042)]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +8,7 @@ from energy_contracts import (
     Contract,
     ContractItem,
     TypeProfile,
+    check_ir,
     dap_utility,
     eap_utility,
     social_welfare,
@@ -55,6 +58,12 @@ class TestEapUtility:
     def test_bad_theta(self):
         with pytest.raises(ValueError):
             eap_utility(ContractItem(0.0, 0.0), 0.0)
+
+    def test_overflowing_cost_is_minus_infinity_as_verify_finds(self):
+        # q**2 of a float raises OverflowError at q = 1e200, where q * q is inf
+        item = ContractItem(1e200, 0.0)
+        (slack,) = check_ir(Contract([item]), TypeProfile((1.0,)))
+        assert eap_utility(item, 1.0) == slack == -math.inf
 
 
 class TestDapUtility:

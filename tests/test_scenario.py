@@ -120,6 +120,7 @@ class TestScenarioValidation:
             {"noise_mw": 10**400},
             {"bandwidth_hz": 1e-320},  # positive, but W = bandwidth_hz / 1e6 underflows to 0
             {"k_types": 1, "d_ms_range": (5.0, 1e200)},  # the weakest theta underflows to 0, also at K=1
+            {"ref_atten_db": 1580},  # the weakest theta, 1e-314, is subnormal
         ],
     )
     def test_invalid_rejected(self, kwargs):
