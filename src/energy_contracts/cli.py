@@ -6,6 +6,8 @@ tables (full round-trip float precision) plus a JSON manifest that echoes the
 fully resolved configuration.
 
 Exit codes: 0 success, 1 config error, 2 solver failure, 3 feasibility failure.
+Each command returns its outcome and main alone writes the files and prints
+the command's one line, to stdout on exit 0 and to stderr on any other code.
 
 Only numpy-free modules are imported here, so verify, --help and a config
 refused before the market is sized load no numpy: the commands that sum an
@@ -133,19 +135,6 @@ def _positive_finite(value, name: str, derived: float | None = None) -> float:
     return number
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
 def _write_outputs(out_dir: Path, command: str, cfg: dict, files: dict, extra: dict) -> None:
     """The one output step: each entry of `files` (a .csv entry is (header,
     rows), a .json one its payload), then config_echo.json and a manifest
@@ -163,10 +152,14 @@ def _write_outputs(out_dir: Path, command: str, cfg: dict, files: dict, extra: d
     }
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, content in {**files, "manifest.json": manifest}.items():
-        if name.endswith(".csv"):
-            _write_csv(out_dir / name, *content)
-        else:
-            _write_json(out_dir / name, content)
+        with open(out_dir / name, "w", newline="") as handle:
+            if name.endswith(".csv"):
+                writer = csv.writer(handle, lineterminator="\n")
+                writer.writerow(content[0])
+                writer.writerows(content[1])
+            else:
+                json.dump(content, handle, indent=2, sort_keys=True)
+                handle.write("\n")
 
 
 def _contract_rows(profile: TypeProfile, contract: Contract):
@@ -174,13 +167,13 @@ def _contract_rows(profile: TypeProfile, contract: Contract):
         yield idx, theta, item.q, item.pi
 
 
-def _solve_record(gamma: float, result) -> dict:
-    return {
-        "gamma": float(gamma),
-        "iterations": result.iterations,
-        "kkt_residual": result.kkt_residual,
-        "converged": result.converged,
-    }
+def _solves_extra(command: str, run: dict, gammas, results) -> dict:
+    """The manifest's record of a command that solves: each solve's gamma and convergence, and the table."""
+    records = [
+        {"gamma": float(g), "iterations": r.iterations, "kkt_residual": r.kkt_residual, "converged": r.converged}
+        for g, r in zip(gammas, results)
+    ]
+    return {command: {"solve_results": records}, "table": run["table"]}
 
 
 def _resolve(command: str, cfg: dict) -> dict:
@@ -255,33 +248,33 @@ def _solve_once(run: dict):
         raise ConfigError(str(exc)) from exc
 
 
-def cmd_solve(cfg: dict, run: dict, out_dir: Path, args) -> int:
+# what a command returns: its exit code, its one line, the files main writes (None: no output directory) and
+# the manifest's extra record
+Outcome = tuple[int, str, dict | None, dict]
+
+
+def cmd_solve(run: dict, args) -> Outcome:
     profile, result = _solve_once(run)
     try:
         report = feasibility.verify_contract(result.contract, profile, run["tol"])
     except ValueError as exc:  # the menu came from the solver, so the fault is the solve's
-        print(f"solver returned a menu that cannot be verified: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    record = _solve_record(run["gamma"], result)
-    payload = report._asdict()
-    payload["solver"] = {**record, "objective": result.objective, "monotone": result.monotone}
+        return EXIT_SOLVER, f"solver returned a menu that cannot be verified: {exc}", None, {}
+    extra = _solves_extra("solve", run, [run["gamma"]], [result])
+    (record,) = extra["solve"]["solve_results"]
+    payload = {**report._asdict(), "solver": {**record, "objective": result.objective, "monotone": result.monotone}}
     files = {
         "contract.csv": (CONTRACT_COLUMNS, _contract_rows(profile, result.contract)),
         "feasibility.json": payload,
     }
-    _write_outputs(out_dir, "solve", cfg, files, {"solve": {"solve_results": [record]}, "table": run["table"]})
-
     if not result.converged:
-        print(f"solver did not converge (residual {result.kkt_residual:g})", file=sys.stderr)
-        return EXIT_SOLVER
+        return EXIT_SOLVER, f"solver did not converge (residual {result.kkt_residual:g})", files, extra
     if not result.monotone or not report.feasible:
-        print(f"contract failed feasibility (min slack {report.min_slack:g})", file=sys.stderr)
-        return EXIT_FEASIBILITY
-    print(f"solved {profile.k}-type menu at gamma={run['gamma']:g}; objective {result.objective:.6g}")
-    return EXIT_OK
+        return EXIT_FEASIBILITY, f"contract failed feasibility (min slack {report.min_slack:g})", files, extra
+    line = f"solved {profile.k}-type menu at gamma={run['gamma']:g}; objective {result.objective:.6g}"
+    return EXIT_OK, line, files, extra
 
 
-def cmd_sweep(cfg: dict, run: dict, out_dir: Path, args) -> int:
+def cmd_sweep(run: dict, args) -> Outcome:
     import numpy as np
 
     from .scenario import run_sweep
@@ -290,23 +283,18 @@ def cmd_sweep(cfg: dict, run: dict, out_dir: Path, args) -> int:
     try:
         sweep = run_sweep(run["scenario"], np.linspace(gamma_min, gamma_max, steps))
     except SweepError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_SOLVER
+        return EXIT_SOLVER, str(exc), None, {}
     except ValueError as exc:  # a gamma the market cannot use
         raise ConfigError(str(exc)) from exc
-
-    records = [_solve_record(g, r) for g, r in zip(sweep.gamma_grid, sweep.solve_results)]
     files = {"sweep.csv": (SWEEP_COLUMNS, sweep.rows())}
-    _write_outputs(out_dir, "sweep", cfg, files, {"sweep": {"solve_results": records}, "table": run["table"]})
-    print(f"swept {steps} gamma points over [{gamma_min:g}, {gamma_max:g}]")
-    return EXIT_OK
+    extra = _solves_extra("sweep", run, sweep.gamma_grid, sweep.solve_results)
+    return EXIT_OK, f"swept {steps} gamma points over [{gamma_min:g}, {gamma_max:g}]", files, extra
 
 
-def cmd_curves(cfg: dict, run: dict, out_dir: Path, args) -> int:
+def cmd_curves(run: dict, args) -> Outcome:
     profile, result = _solve_once(run)
     if not result.converged:
-        print(f"solver did not converge (residual {result.kkt_residual:g})", file=sys.stderr)
-        return EXIT_SOLVER
+        return EXIT_SOLVER, f"solver did not converge (residual {result.kkt_residual:g})", None, {}
     probes = run["probe_types"]
     table = utility_curves(result.contract, profile, probes)
 
@@ -319,10 +307,8 @@ def cmd_curves(cfg: dict, run: dict, out_dir: Path, args) -> int:
         "curves.csv": (CURVE_COLUMNS, rows),
         "contract.csv": (CONTRACT_COLUMNS, _contract_rows(profile, result.contract)),
     }
-    extra = {"curves": {"solve_results": [_solve_record(run["gamma"], result)]}, "table": run["table"]}
-    _write_outputs(out_dir, "curves", cfg, files, extra)
-    print(f"wrote {len(rows)} utility rows for {len(probes)} probe types")
-    return EXIT_OK
+    extra = _solves_extra("curves", run, [run["gamma"]], [result])
+    return EXIT_OK, f"wrote {len(rows)} utility rows for {len(probes)} probe types", files, extra
 
 
 def read_contract_csv(path: str | Path) -> tuple[TypeProfile, Contract]:
@@ -353,19 +339,16 @@ def read_contract_csv(path: str | Path) -> tuple[TypeProfile, Contract]:
     return profile, contract
 
 
-def cmd_verify(cfg: dict, run: dict, out_dir: Path, args) -> int:
+def cmd_verify(run: dict, args) -> Outcome:
     profile, contract = read_contract_csv(args.contract)
     try:
         report = feasibility.verify_contract(contract, profile, run["tol"])
     except ValueError as exc:
         raise ConfigError(f"{args.contract}: {exc}") from exc
-    files = {"feasibility.json": report._asdict()}
-    _write_outputs(out_dir, "verify", cfg, files, {"contract_path": str(args.contract)})
+    files, extra = {"feasibility.json": report._asdict()}, {"contract_path": str(args.contract)}
     if not report.feasible:
-        print(f"contract infeasible (min slack {report.min_slack:g})", file=sys.stderr)
-        return EXIT_FEASIBILITY
-    print(f"contract feasible (min slack {report.min_slack:g})")
-    return EXIT_OK
+        return EXIT_FEASIBILITY, f"contract infeasible (min slack {report.min_slack:g})", files, extra
+    return EXIT_OK, f"contract feasible (min slack {report.min_slack:g})", files, extra
 
 
 COMMANDS = {"solve": cmd_solve, "sweep": cmd_sweep, "curves": cmd_curves, "verify": cmd_verify}
@@ -412,13 +395,14 @@ def main(argv=None) -> int:
         for key in ("gamma_min", "gamma_max", "gamma_steps"):
             if getattr(args, key, None) is not None:
                 cfg["sweep"][key] = getattr(args, key)
-
-        run = _resolve(args.command, cfg)
-        out_dir = Path(args.out or os.environ.get(ENV_OUT_DIR) or "out")
-        return COMMANDS[args.command](cfg, run, out_dir, args)
+        code, line, files, extra = COMMANDS[args.command](_resolve(args.command, cfg), args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        code, line, files = EXIT_CONFIG, f"config error: {exc}", None
+    if files is not None:
+        out_dir = Path(args.out or os.environ.get(ENV_OUT_DIR) or "out")
+        _write_outputs(out_dir, args.command, cfg, files, extra)
+    print(line, file=sys.stdout if code == EXIT_OK else sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -292,13 +292,15 @@ def utility_curves(contract: Contract, profile: TypeProfile, probe_types) -> np.
     """Utility table behind the self-reveal plots.
 
     Row t (for 1-based probe type t) holds pi_j - q_j^2/theta_t across all
-    menu items j; a feasible menu peaks each row at its own index.
+    menu items j; a feasible menu peaks each row at its own index. ValueError
+    for a probe type outside 1..K or a contract that is not one item per type.
     """
     import numpy as np
 
+    from .feasibility import _matched
+
     probes = check_probe_types(probe_types, profile.k)
-    q = contract.qs
-    pi = contract.pis
+    q, pi = map(np.array, _matched(contract, profile))
     thetas = profile.as_array()
     rows = [pi - q * q / thetas[t - 1] for t in probes]
     return np.array(rows).reshape(len(probes), profile.k)

@@ -18,6 +18,7 @@ import numpy as np
 
 from .compositions import per_type, rate_terms, split_table
 from .market import LN2, Contract, TypeProfile
+from .scenario import _integer, _real
 
 _MONO_RTOL = 1e-9
 _ARMIJO_C = 1e-4  # sufficient-increase constant of the line search
@@ -159,10 +160,17 @@ def solve(profile: TypeProfile, gamma: float, bandwidth_w: float, n_total: int) 
     Monotonicity of the recovered menu is verified, not assumed: a violation
     (possible only off the uniform-type assumption) is flagged in the result
     rather than clamped away.
+
+    ValueError, before any table is built, for a gamma that is not positive and finite, an n_total that is
+    not a nonnegative integer or a bandwidth_w that is negative or not finite; bandwidth_w = 0 gives the zero menu.
     """
     gamma = float(gamma)
     if not (math.isfinite(gamma) and gamma > 0.0):
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    n_total, bandwidth_w = _integer(n_total, "n_total"), _real(bandwidth_w, "bandwidth_w")
+    for name, value in (("n_total", n_total), ("bandwidth_w", bandwidth_w)):
+        if value < 0:
+            raise ValueError(f"{name} must be nonnegative, got {value}")
     k = profile.k
     if n_total == 0:
         contract = Contract.from_arrays(np.zeros(k), np.zeros(k))

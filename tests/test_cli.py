@@ -889,7 +889,44 @@ class TestRoundTrip:
             assert repr(value) == row["q"]  # round-trip exact
 
 
+def refuse_menu(*args):
+    raise ValueError("the menu's utilities overflow a float, so its slacks are not finite")
+
+
+# every outcome path: its argv ({tmp} is the test's directory), what solve reports on its real result (None:
+# verify_contract refuses the solved menu), the exit code and whether the path writes files
+OUTCOMES = {
+    "solve-ok": (["solve"], {}, 0, True),
+    "solve-unconverged": (["solve"], {"converged": False}, 2, True),
+    "solve-non-monotone": (["solve"], {"monotone": False}, 3, True),
+    "solve-unverifiable": (["solve"], None, 2, False),
+    "sweep-ok": (["sweep", "--gamma-steps", "2"], {}, 0, True),
+    "sweep-aborted": (["sweep", "--gamma-steps", "2"], {"converged": False}, 2, False),
+    "curves-ok": (["curves"], {}, 0, True),
+    "curves-unconverged": (["curves"], {"converged": False}, 2, False),
+    "verify-feasible": (["verify", "--contract", "{tmp}/feasible.csv"], {}, 0, True),
+    "verify-infeasible": (["verify", "--contract", "{tmp}/infeasible.csv"], {}, 3, True),
+    "config-error": (["solve", "--config", "{tmp}/missing.json"], {}, 1, False),
+}
+
+
 class TestOutputFiles:
+    @pytest.mark.parametrize("outcome", OUTCOMES)
+    def test_each_outcome_prints_one_line(self, tmp_path, capsys, monkeypatch, outcome):
+        argv, reports, code, writes = OUTCOMES[outcome]
+        (tmp_path / "feasible.csv").write_text("type_index,theta,q,pi\n1,1.0,0.0,0.0\n2,2.0,0.0,0.0\n")
+        (tmp_path / "infeasible.csv").write_text("type_index,theta,q,pi\n1,1.0,1.0,0.0\n2,2.0,1.0,0.0\n")
+        if reports is None:
+            monkeypatch.setattr(feasibility, "verify_contract", refuse_menu)
+        else:
+            solves_report(monkeypatch, **reports)
+        out = tmp_path / "out"
+        assert main([arg.format(tmp=tmp_path) for arg in argv] + ["--out", str(out)]) == code
+        captured = capsys.readouterr()
+        (line,) = (captured.out + captured.err).splitlines()
+        assert (captured.out, captured.err) == ((f"{line}\n", "") if code == 0 else ("", f"{line}\n"))
+        assert out.exists() == writes
+
     @pytest.mark.parametrize("command", ["solve", "sweep", "curves", "verify"])
     def test_directory_holds_exactly_the_manifest_outputs(self, tmp_path, command):
         args = [command, "--gamma-steps", "2"] if command == "sweep" else [command]

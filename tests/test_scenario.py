@@ -365,6 +365,12 @@ class TestUtilityCurves:
         with pytest.raises(ValueError, match="not an integer"):
             utility_curves(contract, profile, [probe])
 
+    def test_contract_length_must_match_the_ladder(self, ten_type_solution):
+        # it failed inside numpy: 'cannot reshape array of size 5 into shape (1,3)'
+        profile, contract = ten_type_solution
+        with pytest.raises(ValueError, match="contract length does not match the type ladder"):
+            utility_curves(Contract(contract[:5]), TypeProfile(profile.thetas[:3]), [1])
+
     def test_integral_probes_of_any_number_type(self, ten_type_solution):
         profile, contract = ten_type_solution
         table = utility_curves(contract, profile, [np.int64(3), 6.0])

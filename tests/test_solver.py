@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 from energy_contracts import (
+    Contract,
     ScenarioConfig,
     TypeProfile,
     bandwidth_mbps,
@@ -326,14 +327,35 @@ class TestSolve:
         assert not res.converged
         assert res.iterations == 0
 
-    @pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
-    def test_unusable_gamma_refused(self, monkeypatch, gamma):
-        # 0 divided by zero at the start; -1, nan and inf each ran for over 20 s
+    @pytest.mark.parametrize(
+        "gamma, bandwidth_w, n_total, match",
+        [
+            *(pytest.param(gamma, 1.0, 2, "gamma must be positive and finite", id=str(gamma))
+              for gamma in (0.0, -1.0, math.nan, math.inf)),
+            # -1 raised 'math domain error' at the start, 2.5 a TypeError in numpy, a nan bandwidth blamed
+            # gamma and an infinite one warned 'invalid value encountered in divide'
+            pytest.param(1.0, 1.0, -1, "n_total must be nonnegative, got -1", id="n_total--1"),
+            pytest.param(1.0, 1.0, 2.5, "n_total 2.5 is not an integer", id="n_total-2.5"),
+            pytest.param(1.0, -1.0, 2, "bandwidth_w must be nonnegative, got -1.0", id="bandwidth_w--1"),
+            pytest.param(1.0, math.nan, 2, "bandwidth_w nan is not a finite number", id="bandwidth_w-nan"),
+            pytest.param(1.0, math.inf, 2, "bandwidth_w inf is not a finite number", id="bandwidth_w-inf"),
+        ],
+    )
+    def test_unusable_gamma_refused(self, monkeypatch, gamma, bandwidth_w, n_total, match):
+        # a gamma of 0 divided by zero at the start; -1, nan and inf each ran for over 20 s
         monkeypatch.setattr(solver_module, "split_table", None)  # refused before any table is built
         start = time.perf_counter()
-        with pytest.raises(ValueError, match="positive and finite"):
-            solve(TypeProfile((1.0, 2.0)), gamma, 1.0, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                solve(TypeProfile((1.0, 2.0, 3.0)), gamma, bandwidth_w, n_total)
         assert time.perf_counter() - start < 0.1
+
+    def test_worthless_link_gives_the_zero_menu(self):
+        # as complete_info_lambda treats W = 0: no rate to buy, so no power is bought
+        res = solve(TypeProfile((1.0, 2.0, 3.0)), 1.0, 0.0, 2)
+        assert res.converged and res.objective == 0.0
+        assert res.contract == Contract.from_arrays([0.0] * 3, [0.0] * 3)
 
     def test_overflowing_gamma_refused_before_the_table(self, monkeypatch):
         # at gamma 1e308 and W = 1000, gamma N q overflows at the mean-field start: it warned
