@@ -12,7 +12,7 @@ importing the package, or the CLI, loads no numpy until a name needs it.
 
 import importlib
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"
 
 # public name -> the module that defines it
 _EXPORTS = {

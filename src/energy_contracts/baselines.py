@@ -11,7 +11,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .compositions import composition_table
-from .market import LN2, TypeProfile
+from .market import LN2, TypeProfile, _market_size
 
 _NEWTON_MAX_ITERS = 100
 
@@ -95,6 +95,7 @@ def expected_complete_info_welfare(
 ) -> float:
     """Expectation of the per-realization optima: the collector re-optimizes
     for every realized count vector it would observe."""
+    n_total, bandwidth_w = _market_size(n_total, bandwidth_w)
     if gamma <= 0.0:
         return 0.0
     t_total, probs = _t_distribution(profile, n_total)
@@ -127,6 +128,7 @@ def linear_expected_dap_utility(
 
         E[ W log2(1 + gamma (P/2) sum_k n_k theta_k) ] - (P^2/2) (N/K) sum_k theta_k
     """
+    n_total, bandwidth_w = _market_size(n_total, bandwidth_w)
     t_total, probs = _t_distribution(profile, n_total)
     rate = bandwidth_w * np.log1p(gamma * (price / 2.0) * t_total) / LN2
     return float(probs @ rate) - price * price / 2.0 * _mean_t(profile, n_total)
@@ -137,6 +139,7 @@ def linear_expected_social_welfare(
 ) -> float:
     """Expected total surplus at price P: the payment drops out and only half
     of the response cost remains, (P^2/4) (N/K) sum_k theta_k."""
+    n_total, bandwidth_w = _market_size(n_total, bandwidth_w)
     t_total, probs = _t_distribution(profile, n_total)
     rate = bandwidth_w * np.log1p(gamma * (price / 2.0) * t_total) / LN2
     return float(probs @ rate) - price * price / 4.0 * _mean_t(profile, n_total)
@@ -153,6 +156,7 @@ def linear_pricing_optimize(
     method started at P = 0 climbs monotonically to the root. It stops once a
     step is within a few ulps of the price.
     """
+    n_total, bandwidth_w = _market_size(n_total, bandwidth_w)
     thetas = profile.as_array()
     if gamma <= 0.0 or n_total == 0:
         return LinearPricingSolution(0.0, 0.0, np.zeros_like(thetas))

@@ -28,15 +28,13 @@ from pathlib import Path
 
 from . import __version__, feasibility
 from .feasibility import DEFAULT_TOL, MAX_TYPES
-from .market import Contract, TypeProfile
+from .market import Contract, TypeProfile, _integer, _real
 from .scenario import (
     DEFAULT_GAMMA_STEPS,
     RNG_ALGORITHM,
     ScenarioConfig,
     SweepError,
     _as_field_type,
-    _integer,
-    _real,
     bandwidth_mbps,
     build_type_ladder,
     check_probe_types,
@@ -122,7 +120,7 @@ def resolve_config(user: dict | None) -> dict:
 
 
 def _positive_finite(value, name: str, derived: float | None = None) -> float:
-    """The one check of solve.tol and every gamma field: a positive finite number, through scenario._real. A
+    """The one check of solve.tol and every gamma field: a positive finite number, through market._real. A
     gamma field's null takes `derived`, its default from the scenario, which must be one too."""
     if value is None and derived is not None:
         value, name = derived, f"{name} (derived from the scenario)"
@@ -312,21 +310,24 @@ def cmd_curves(run: dict, args) -> Outcome:
 
 
 def read_contract_csv(path: str | Path) -> tuple[TypeProfile, Contract]:
-    """Load a contract table; the theta column makes the file self-contained."""
+    """Load a contract table; the theta column makes the file self-contained. Row i must read i,theta,q,pi, as
+    contract.csv writes it: a row with another cell count or type_index is refused, naming its line."""
     try:
         with open(path, newline="") as handle:
-            reader = csv.DictReader(handle)
-            if reader.fieldnames != CONTRACT_COLUMNS:
-                raise ConfigError(
-                    f"{path}: expected columns {CONTRACT_COLUMNS}, got {reader.fieldnames}"
-                )
+            reader = csv.reader(handle)
+            if (header := next(reader, None)) != CONTRACT_COLUMNS:
+                raise ConfigError(f"{path}: expected columns {CONTRACT_COLUMNS}, got {header}")
             rows = []
-            for r in reader:  # stops before it parses the first row past the budget
-                if len(rows) == MAX_TYPES:
+            for i, cells in enumerate(filter(None, reader), 1):  # skips blank lines; stops at the row past the budget
+                if i > MAX_TYPES:
                     raise ConfigError(f"{path}: more than {MAX_TYPES:,} rows, the most types verify serves")
-                rows.append((float(r["theta"]), float(r["q"]), float(r["pi"])))
+                if len(cells) != len(CONTRACT_COLUMNS) or cells[0] != str(i):
+                    raise ConfigError(f"{path}: line {reader.line_num}: expected {i},theta,q,pi, got {cells}")
+                rows.append(tuple(map(float, cells[1:])))
     except OSError as exc:
         raise ConfigError(f"cannot read contract {path}: {exc}") from exc
+    except csv.Error as exc:  # as of a cell past the csv module's field size limit
+        raise ConfigError(f"{path}: line {reader.line_num}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"{path}: bad numeric value: {exc}") from exc
     if not rows:

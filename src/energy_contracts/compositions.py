@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .market import LN2, TypeProfile
+from .market import LN2, TypeProfile, _market_size
 
 
 # Most count vectors a market may have: (20, 8) has 888,030; (10, 20), 20,030,010, is refused. It bounds
@@ -277,6 +277,7 @@ def expected_social_welfare(
 
     The cost is linear in the counts, so its expectation is exact with E[n_k] = N/K.
     """
+    n_total, bandwidth_w = _market_size(n_total, bandwidth_w)
     q = per_type(q, profile)
     rate = rate_terms(split_table(n_total, profile.k), q, gamma)
     return bandwidth_w * rate / LN2 - n_total / profile.k * float(q @ (q / profile.as_array()))

@@ -13,7 +13,7 @@ gap on small instances.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .market import LN2, Contract, TypeProfile
 
@@ -34,6 +34,14 @@ def _matched(contract: Contract, profile: TypeProfile) -> tuple[tuple[float, ...
     return tuple(item.q for item in contract), tuple(item.pi for item in contract)
 
 
+def _utility_rows(contract: Contract, profile: TypeProfile, types):
+    """For each 1-based type t of `types`, in turn, the list of its utilities pi_j - q_j^2/theta_t under every
+    item j. The menu is matched to the ladder at the call; each row is made as it is read, so that check_ic
+    holds one list beyond its matrix (a whole utility matrix first doubled verify's peak at 1,000 types)."""
+    qs, pis = _matched(contract, profile)
+    return ([pi - q * q / theta for q, pi in zip(qs, pis)] for theta in (profile.thetas[t - 1] for t in types))
+
+
 def check_ir(contract: Contract, profile: TypeProfile) -> tuple[float, ...]:
     """Participation slacks pi_k - q_k^2/theta_k, one per type.
 
@@ -52,15 +60,11 @@ def check_ic(contract: Contract, profile: TypeProfile) -> tuple[tuple[float, ...
     The diagonal is identically zero; nonnegative off-diagonal entries mean
     no seller gains by imitating another type.
     """
-    qs, pis = _matched(contract, profile)
-    rows = []
-    for k, theta in enumerate(profile.thetas):
-        utilities = [pi - q * q / theta for q, pi in zip(qs, pis)]  # type k's utility under each item
-        rows.append(tuple(utilities[k] - u for u in utilities))
-    return tuple(rows)
+    rows = enumerate(_utility_rows(contract, profile, range(1, profile.k + 1)))
+    return tuple(tuple(utilities[k] - u for u in utilities) for k, utilities in rows)
 
 
-def _nondecreasing(values: tuple[float, ...], tol: float) -> bool:
+def _nondecreasing(values: Sequence[float], tol: float) -> bool:
     return all(b - a >= -tol for a, b in zip(values, values[1:]))
 
 

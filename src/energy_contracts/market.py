@@ -22,6 +22,39 @@ if TYPE_CHECKING:
 LN2 = math.log(2.0)
 
 
+def _integer(value, name: str) -> int:
+    """value as an int; ValueError for a bool or a number that is not integral."""
+    import numbers  # not loaded by the CLI's import
+
+    integral = isinstance(value, numbers.Integral) or (isinstance(value, numbers.Real) and float(value).is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ValueError(f"{name} {value!r} is not an integer")
+    return int(value)
+
+
+def _real(value, name: str) -> float:
+    """value as a float; ValueError for a bool, a string, None or a number that is not finite as a float."""
+    import numbers  # not loaded by the CLI's import
+
+    try:
+        finite = isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        finite = False
+    if not finite:
+        raise ValueError(f"{name} {value!r} is not a finite number")
+    return float(value)
+
+
+def _market_size(n_total, bandwidth_w) -> tuple[int, float]:
+    """(n_total, bandwidth_w) as a nonnegative int and a nonnegative finite float; ValueError naming the
+    argument otherwise. solve, the baselines, reduced_objective and expected_social_welfare check these first."""
+    n_total, bandwidth_w = _integer(n_total, "n_total"), _real(bandwidth_w, "bandwidth_w")
+    for name, value in (("n_total", n_total), ("bandwidth_w", bandwidth_w)):
+        if value < 0:
+            raise ValueError(f"{name} must be nonnegative, got {value}")
+    return n_total, bandwidth_w
+
+
 class TypeProfile(NamedTuple("TypeProfile", [("thetas", tuple[float, ...])])):
     """Ascending ladder of K seller quality values theta_1 < ... < theta_K.
 

@@ -16,7 +16,7 @@ import math
 import sys
 from typing import TYPE_CHECKING, NamedTuple
 
-from .market import Contract, TypeProfile
+from .market import Contract, TypeProfile, _integer, _real
 
 if TYPE_CHECKING:
     import numpy as np
@@ -44,29 +44,6 @@ class _ScenarioConfig(NamedTuple):
     bandwidth_hz: float = 1e6
     noise_mw: float = 1e-8
     rng_seed: int = 20260808
-
-
-def _integer(value, name: str) -> int:
-    """value as an int; ValueError for a bool or a number that is not integral."""
-    import numbers  # not loaded by the CLI's import
-
-    integral = isinstance(value, numbers.Integral) or (isinstance(value, numbers.Real) and float(value).is_integer())
-    if isinstance(value, bool) or not integral:
-        raise ValueError(f"{name} {value!r} is not an integer")
-    return int(value)
-
-
-def _real(value, name: str) -> float:
-    """value as a float; ValueError for a bool, a string, None or a number that is not finite as a float."""
-    import numbers  # not loaded by the CLI's import
-
-    try:
-        finite = isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
-    except OverflowError:  # an int past the float range
-        finite = False
-    if not finite:
-        raise ValueError(f"{name} {value!r} is not a finite number")
-    return float(value)
 
 
 def _as_field_type(name: str, value, default):
@@ -297,13 +274,10 @@ def utility_curves(contract: Contract, profile: TypeProfile, probe_types) -> np.
     """
     import numpy as np
 
-    from .feasibility import _matched
+    from .feasibility import _utility_rows
 
     probes = check_probe_types(probe_types, profile.k)
-    q, pi = map(np.array, _matched(contract, profile))
-    thetas = profile.as_array()
-    rows = [pi - q * q / thetas[t - 1] for t in probes]
-    return np.array(rows).reshape(len(probes), profile.k)
+    return np.array(list(_utility_rows(contract, profile, probes))).reshape(len(probes), profile.k)
 
 
 def monte_carlo_expected_welfare(

@@ -17,10 +17,10 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .compositions import per_type, rate_terms, split_table
-from .market import LN2, Contract, TypeProfile
-from .scenario import _integer, _real
+from .feasibility import _nondecreasing
+from .market import LN2, Contract, TypeProfile, _market_size
 
-_MONO_RTOL = 1e-9
+_MONO_RTOL = 1e-9  # a menu is monotone when no entry falls below the one before by this fraction of the largest
 _ARMIJO_C = 1e-4  # sufficient-increase constant of the line search
 _TO_BOUNDARY = 0.995  # a cut step travels this fraction of the way to q_k = 0
 _RESOLUTION = 1e-13  # relative float resolution of the objective's two parts
@@ -85,18 +85,8 @@ def quadratic_coefficients(profile: TypeProfile, counts: Sequence[float]) -> np.
 
 
 def expected_quadratic_coefficients(profile: TypeProfile, n_total: int) -> np.ndarray:
-    """E[D_k] under the uniform type distribution, using E[n_i] = N/K:
-
-        E[D_k] = (N/K) [1/theta_k + (K-k)(1/theta_k - 1/theta_{k+1})]   k < K
-        E[D_K] = (N/K) / theta_K
-    """
-    thetas = profile.as_array()
-    k = profile.k
-    inv = 1.0 / thetas
-    coeffs = inv.copy()
-    if k > 1:
-        coeffs[:-1] += np.arange(k - 1, 0, -1) * (inv[:-1] - inv[1:])
-    return (n_total / k) * coeffs
+    """E[D_k] under the uniform type distribution: D is linear in the counts and each E[n_i] = N/K."""
+    return (n_total / profile.k) * quadratic_coefficients(profile, np.ones(profile.k))
 
 
 class _ReducedProblem:
@@ -131,16 +121,13 @@ def reduced_objective(
 
     Only the log term needs enumeration; the reward bill is linear in counts
     so its expectation is exact in closed form. Equals
-    expected_dap_utility(q, reward_recovery(q), ...) for every q >= 0.
+    expected_dap_utility(q, reward_recovery(q), ...) for every q >= 0. n_total and bandwidth_w are checked
+    as solve checks them.
     """
+    n_total, bandwidth_w = _market_size(n_total, bandwidth_w)
     q = per_type(q, profile)
     rate = bandwidth_w * rate_terms(split_table(n_total, profile.k), q, gamma) / LN2
     return rate - float(expected_quadratic_coefficients(profile, n_total) @ (q * q))
-
-
-def _is_nondecreasing(values: np.ndarray) -> bool:
-    scale = float(np.abs(values).max()) if values.size else 0.0
-    return bool(np.all(np.diff(values) >= -_MONO_RTOL * (scale + 1e-300)))
 
 
 def solve(profile: TypeProfile, gamma: float, bandwidth_w: float, n_total: int) -> SolveResult:
@@ -167,10 +154,7 @@ def solve(profile: TypeProfile, gamma: float, bandwidth_w: float, n_total: int) 
     gamma = float(gamma)
     if not (math.isfinite(gamma) and gamma > 0.0):
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
-    n_total, bandwidth_w = _integer(n_total, "n_total"), _real(bandwidth_w, "bandwidth_w")
-    for name, value in (("n_total", n_total), ("bandwidth_w", bandwidth_w)):
-        if value < 0:
-            raise ValueError(f"{name} must be nonnegative, got {value}")
+    n_total, bandwidth_w = _market_size(n_total, bandwidth_w)
     k = profile.k
     if n_total == 0:
         contract = Contract.from_arrays(np.zeros(k), np.zeros(k))
@@ -212,5 +196,5 @@ def solve(profile: TypeProfile, gamma: float, bandwidth_w: float, n_total: int) 
 
     pi = reward_recovery(q, profile)
     contract = Contract.from_arrays(q, pi)
-    monotone = _is_nondecreasing(q) and _is_nondecreasing(pi)
+    monotone = all(_nondecreasing(v, _MONO_RTOL * (float(np.abs(v).max()) + 1e-300)) for v in (q, pi))
     return SolveResult(contract, rate - quad, iterations, converged, residual, monotone)

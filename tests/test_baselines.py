@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from energy_contracts import (
     linear_expected_dap_utility,
     linear_expected_social_welfare,
     linear_pricing_optimize,
+    reduced_objective,
     reference_gamma,
     run_sweep,
     social_welfare,
@@ -291,3 +293,30 @@ class TestMechanismOrdering:
         linear_welfare = linear_expected_social_welfare(pricing.price, profile, gamma, w, n)
         assert complete_welfare >= contract_welfare - 1e-8
         assert contract_welfare >= linear_welfare - 1e-8
+
+
+THREE_TYPES = TypeProfile((1.0, 2.0, 3.0))
+# each function that sums an expectation over a market, called with (bandwidth_w, n_total) at gamma 1
+MARKET_FUNCTIONS = {
+    "expected_complete_info_welfare": lambda w, n: expected_complete_info_welfare(THREE_TYPES, 1.0, w, n),
+    "linear_pricing_optimize": lambda w, n: linear_pricing_optimize(THREE_TYPES, 1.0, w, n),
+    "linear_expected_dap_utility": lambda w, n: linear_expected_dap_utility(0.5, THREE_TYPES, 1.0, w, n),
+    "linear_expected_social_welfare": lambda w, n: linear_expected_social_welfare(0.5, THREE_TYPES, 1.0, w, n),
+    "reduced_objective": lambda w, n: reduced_objective([0.5] * 3, THREE_TYPES, 1.0, w, n),
+    "expected_social_welfare": lambda w, n: expected_social_welfare([0.5] * 3, THREE_TYPES, 1.0, w, n),
+}
+
+
+class TestMarketSizeChecks:
+    @pytest.mark.parametrize("name", MARKET_FUNCTIONS)
+    @pytest.mark.parametrize("bandwidth_w, n_total", [(1.0, -1), (1.0, 2.5), (-1.0, 2), (math.nan, 2), (math.inf, 2)])
+    def test_refused_as_solve_refuses(self, name, bandwidth_w, n_total):
+        # -1 raised numpy's FFT error, a nan bandwidth gave nan welfare or a RuntimeError from the uniform
+        # price, and 2.5 a TypeError in the objective
+        with pytest.raises(ValueError) as refused:
+            solve(THREE_TYPES, 1.0, bandwidth_w, n_total)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as caught:
+                MARKET_FUNCTIONS[name](bandwidth_w, n_total)
+        assert str(caught.value) == str(refused.value)

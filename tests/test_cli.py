@@ -186,7 +186,7 @@ class TestConfigHandling:
         "command, section, key, value", [(*field, value) for field in INTEGER_FIELDS for value in (True, 2.7, "3")]
     )
     def test_non_integer_field_is_a_config_error(self, tmp_path, capsys, command, section, key, value):
-        # one check, scenario._integer, and one message for every integer field
+        # one check, market._integer, and one message for every integer field
         code, out = field_run(tmp_path, command, section, key, value)
         assert code == 1
         err = capsys.readouterr().err
@@ -204,7 +204,7 @@ class TestConfigHandling:
         ],
     )
     def test_non_real_field_is_a_config_error(self, tmp_path, capsys, command, section, key, value):
-        # one check, scenario._real, and one message for every real field: true and "0.5" were read as 1.0
+        # one check, market._real, and one message for every real field: true and "0.5" were read as 1.0
         # and 0.5, and a gamma or tolerance of 10**400 ended in an OverflowError traceback
         code, out = field_run(tmp_path, command, section, key, value)
         assert code == 1
@@ -784,6 +784,20 @@ class TestVerifyCommand:
             (None, "cannot read contract"),
             ("type_index,theta,q,pi\n1,1.0,x,0.0\n", "bad numeric value"),
             ("type_index,theta,q,pi\n", "no contract rows"),
+            # a short row ended in a TypeError from float(None), a long row's fifth cell was dropped, and a
+            # type_index of x or 7 was read as row 1
+            (
+                "type_index,theta,q,pi\n1,1.0,0.5\n",
+                r"contract.csv: line 2: expected 1,theta,q,pi, got \['1', '1.0', '0.5'\]$",
+            ),
+            ("type_index,theta,q,pi\n1,1.0,0.5,0.5,9\n", "line 2: expected 1,theta,q,pi, got .*'9'"),
+            ("type_index,theta,q,pi\nx,1.0,0.5,0.5\n", r"line 2: expected 1,theta,q,pi, got \['x'"),
+            ("type_index,theta,q,pi\n7,1.0,0.5,0.5\n", r"line 2: expected 1,theta,q,pi, got \['7'"),
+            ("type_index,theta,q,pi\n1,1.0,0.5,0.5\n\n1,2.0,0.5,0.5\n", r"line 4: expected 2,theta,q,pi, got \['1'"),
+            # a cell past the csv module's field size limit ended in a csv.Error traceback
+            pytest.param(
+                "type_index,theta,q,pi\n1," + "1" * 200_000 + ",0,0\n", "line 2: field larger than field limit", id="huge-cell"
+            ),
         ],
     )
     def test_unreadable_contract_is_a_config_error(self, tmp_path, text, message):

@@ -14,6 +14,7 @@ from energy_contracts import (
     check_ir,
     reduced_objective,
     solve,
+    utility_curves,
     verify_contract,
 )
 from helpers import random_local_ic_contract
@@ -68,6 +69,16 @@ class TestCheckIc:
         for _ in range(20):
             profile, contract = random_local_ic_contract(rng)
             assert np.all(np.diagonal(check_ic(contract, profile)) == 0.0)
+
+    def test_utility_curves_reproduce_the_matrix(self):
+        # both read one utility row per type: entry [k][j] is U[k][k] - U[k][j], bit for bit
+        rng = np.random.default_rng(8)
+        for _ in range(30):
+            profile, contract = random_local_ic_contract(rng)
+            utilities = utility_curves(contract, profile, range(1, profile.k + 1))
+            expected = [[row[k] - u for u in row] for k, row in enumerate(utilities.tolist())]
+            slacks = np.array(check_ic(contract, profile))
+            np.testing.assert_array_equal(slacks.view(np.int64), np.array(expected).view(np.int64))
 
     def test_solver_output_full_matrix(self):
         profile = TypeProfile(tuple(np.linspace(0.5, 3.0, 6)))

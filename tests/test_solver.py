@@ -351,6 +351,20 @@ class TestSolve:
                 solve(TypeProfile((1.0, 2.0, 3.0)), gamma, bandwidth_w, n_total)
         assert time.perf_counter() - start < 0.1
 
+    @pytest.mark.parametrize("drop, monotone", [(0.5, True), (2.0, False)])
+    def test_monotone_flag_is_relative(self, monkeypatch, drop, monotone):
+        # the second reward sits below the first by `drop` times _MONO_RTOL of the largest reward
+        recover = solver_module.reward_recovery
+
+        def dipped(q, profile):
+            pi = recover(q, profile)
+            pi[1] = pi[0] - drop * solver_module._MONO_RTOL * pi.max()
+            return pi
+
+        monkeypatch.setattr(solver_module, "reward_recovery", dipped)
+        res = solve(TypeProfile((0.5, 1.0, 2.0)), 1.2, 1.0, 3)
+        assert res.converged and res.monotone is monotone
+
     def test_worthless_link_gives_the_zero_menu(self):
         # as complete_info_lambda treats W = 0: no rate to buy, so no power is bought
         res = solve(TypeProfile((1.0, 2.0, 3.0)), 1.0, 0.0, 2)
